@@ -277,6 +277,10 @@ PhaseOutcome runLoadPhase(unsigned Clients, unsigned PerClient,
   return Out;
 }
 
+/// Writes one phase's pdt-report-v1 companion, with the metrics armed
+/// during that phase. The ctest chain diffs the disarmed/armed pair
+/// (deterministic keys must match; *_ns keys ride the noise band) and
+/// appends the armed one to the perf ledger.
 void writePhaseReport(const char *Path, const PhaseOutcome &P,
                       unsigned Clients, bool Smoke, unsigned &Failures) {
   RunReport::reset();
@@ -336,6 +340,10 @@ int main(int argc, char **argv) {
   //===--------------------------------------------------------------------===//
 
   AccessLog::stop(); // a PDT_ACCESS_LOG in the environment must not skew this
+  // Metrics are armed (and reset) for each of the two report phases
+  // only, so each pdt-report-v1 companion carries its own phase's graph
+  // counters, as in x10; the overhead legs below run disarmed.
+  Metrics::enable();
   PhaseOutcome Disarmed =
       runLoadPhase(Clients, PerClient, Oracle, /*FillOracle=*/true,
                    &FatalError);
@@ -343,6 +351,8 @@ int main(int argc, char **argv) {
     std::cerr << FatalError << "\n";
     return 1;
   }
+  writePhaseReport("BENCH_reqobs_disarmed.json", Disarmed, Clients, Smoke,
+                   Failures);
   if (Disarmed.Ok != WantRequests || Disarmed.BadStatus ||
       Disarmed.TransportErrors)
     Fail("disarmed phase: " + std::to_string(Disarmed.Ok) + "/" +
@@ -364,6 +374,7 @@ int main(int argc, char **argv) {
     std::cerr << "cannot open " << LoadLogPath << "\n";
     return 1;
   }
+  Metrics::enable();
   PhaseOutcome Armed = runLoadPhase(Clients, PerClient, Oracle,
                                     /*FillOracle=*/false, &FatalError);
   uint64_t ArmedLines = AccessLog::linesWritten();
@@ -372,6 +383,8 @@ int main(int argc, char **argv) {
     std::cerr << FatalError << "\n";
     return 1;
   }
+  writePhaseReport("BENCH_reqobs_armed.json", Armed, Clients, Smoke, Failures);
+  Metrics::stop();
   if (Armed.Ok != WantRequests || Armed.BadStatus || Armed.TransportErrors)
     Fail("armed phase: " + std::to_string(Armed.Ok) + "/" +
          std::to_string(WantRequests) + " ok, " +
@@ -629,14 +642,6 @@ int main(int argc, char **argv) {
        << ", \"gated\": " << (Smoke ? "false" : "true") << "},\n"
        << "  \"failures\": " << Failures << "\n"
        << "}\n";
-
-  // The pdt-report-v1 pair over the identical workload: the ctest
-  // chain diffs them (deterministic keys must match; *_ns keys ride
-  // the noise band) and appends the armed one to the perf ledger.
-  writePhaseReport("BENCH_reqobs_disarmed.json", Disarmed, Clients, Smoke,
-                   Failures);
-  writePhaseReport("BENCH_reqobs_armed.json", Armed, Clients, Smoke,
-                   Failures);
 
   return Failures ? 1 : 0;
 }

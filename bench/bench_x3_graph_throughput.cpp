@@ -16,7 +16,9 @@
 //   * parallel:  the new pipeline at --threads workers (default 4).
 //
 // The bench hard-asserts that all three produce identical graphs and
-// equal TestStats, then writes BENCH_graph_throughput.json. Run with
+// equal TestStats, then writes BENCH_graph_throughput.json. The full
+// run times the configurations in interleaved reps and gates on the
+// median per-rep speedup of parallel over seed (>= 2x). Run with
 // --smoke for a sub-second workload (wired as the bench_smoke ctest).
 //
 // --ablation instead measures the batched SoA fast path against the
@@ -26,7 +28,7 @@
 // full pdt-report-v1 document (BENCH_x3_ablation_{scalar,batched}.json)
 // so depprof can diff them and append the batched run to the
 // BENCH_HISTORY.jsonl perf ledger. The non-smoke run gates on the
-// batched configuration sustaining >= 1.5x pairs/sec.
+// median per-rep speedup of batched over scalar (>= 1.5x).
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +48,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <random>
 #include <string>
@@ -137,31 +140,63 @@ double seconds(std::chrono::steady_clock::duration D) {
   return std::chrono::duration<double>(D).count();
 }
 
+double median(std::vector<double> Values) {
+  if (Values.empty())
+    return 0.0;
+  std::sort(Values.begin(), Values.end());
+  size_t N = Values.size();
+  return N % 2 ? Values[N / 2] : (Values[N / 2 - 1] + Values[N / 2]) / 2.0;
+}
+
+/// One configuration's timings (one wall time per rep) plus the edges
+/// and statistics of its first rep.
 struct Measurement {
-  double Secs = 0;
+  std::vector<double> RepSecs;
   std::string EdgeReport;
   TestStats Stats;
+
+  double secs() const { return median(RepSecs); }
 };
 
-template <typename Fn> Measurement timeBest(unsigned Reps, Fn &&Run) {
-  Measurement Best;
+/// The median over reps of \p Num's time divided by \p Den's time in
+/// the same rep: the speedup of \p Den over \p Num (see bench_x5 for
+/// why median-of-paired-ratios and not best-of-N).
+double medianSpeedup(const Measurement &Num, const Measurement &Den) {
+  std::vector<double> Ratios;
+  for (size_t R = 0; R != Num.RepSecs.size(); ++R)
+    if (Den.RepSecs[R] > 0)
+      Ratios.push_back(Num.RepSecs[R] / Den.RepSecs[R]);
+  return median(std::move(Ratios));
+}
+
+using BuildFn = std::function<std::pair<std::vector<Dependence>, TestStats>()>;
+
+/// Runs every configuration once per rep, interleaved, rotating which
+/// one goes first so no configuration always runs on the coolest or
+/// warmest machine.
+std::vector<Measurement> timeInterleaved(unsigned Reps,
+                                         const std::vector<BuildFn> &Runs) {
+  std::vector<Measurement> Out(Runs.size());
   for (unsigned R = 0; R != Reps; ++R) {
-    Measurement M;
-    auto Start = std::chrono::steady_clock::now();
-    auto [Edges, Stats] = Run();
-    M.Secs = seconds(std::chrono::steady_clock::now() - Start);
-    M.EdgeReport = renderEdges(Edges);
-    M.Stats = Stats;
-    if (Best.EdgeReport.empty() || M.Secs < Best.Secs)
-      Best = std::move(M);
+    for (size_t K = 0; K != Runs.size(); ++K) {
+      size_t C = (K + R) % Runs.size();
+      Measurement &M = Out[C];
+      auto Start = std::chrono::steady_clock::now();
+      auto [Edges, Stats] = Runs[C]();
+      M.RepSecs.push_back(seconds(std::chrono::steady_clock::now() - Start));
+      if (R == 0) {
+        M.EdgeReport = renderEdges(Edges);
+        M.Stats = Stats;
+      }
+    }
   }
-  return Best;
+  return Out;
 }
 
 /// The batched-vs-scalar ablation: identical workload, identical
 /// thread count, only the PairBatch mode override differs.
 int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
-  unsigned Reps = Smoke ? 1 : 3;
+  unsigned Reps = Smoke ? 1 : 11;
   std::mt19937_64 Rng(0x5EEDBA7C4);
   std::string Source = generateBatchHeavyProgramSource(Rng, NumNests);
 
@@ -175,18 +210,20 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
   const Program &Prog = *Base.Prog;
   SymbolRangeMap Symbols;
 
-  auto Configured = [&](BatchMode Mode) {
-    return timeBest(Reps, [&, Mode] {
+  auto Configured = [&](BatchMode Mode) -> BuildFn {
+    return [&, Mode] {
       setBatchModeOverride(Mode);
       TestStats S;
       DependenceGraph G =
           DependenceGraph::build(Prog, Symbols, &S, false, Threads);
       setBatchModeOverride(std::nullopt);
       return std::pair(G.dependences(), S);
-    });
+    };
   };
-  Measurement Scalar = Configured(BatchMode::Off);
-  Measurement Batched = Configured(BatchMode::On);
+  std::vector<Measurement> Legs = timeInterleaved(
+      Reps, {Configured(BatchMode::Off), Configured(BatchMode::On)});
+  const Measurement &Scalar = Legs[0];
+  const Measurement &Batched = Legs[1];
 
   // The whole point of the fast path: routing must not change results.
   if (Batched.EdgeReport != Scalar.EdgeReport) {
@@ -204,30 +241,27 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
     std::cerr << "FAIL: scalar configuration reported batched routing\n";
     return 1;
   }
-  if (batchingCompiledIn()) {
-    if (Batched.Stats.BatchedZIV == 0 || Batched.Stats.BatchedStrongSIV == 0) {
-      std::cerr << "FAIL: batch-heavy workload produced no batched verdicts\n";
-      return 1;
-    }
-    if (NumNests >= 11 && Batched.Stats.ScalarFallback == 0) {
-      std::cerr << "FAIL: coupled nests did not reach the scalar fallback\n";
-      return 1;
-    }
+  if (Batched.Stats.BatchedZIV == 0 || Batched.Stats.BatchedStrongSIV == 0) {
+    std::cerr << "FAIL: batch-heavy workload produced no batched verdicts\n";
+    return 1;
+  }
+  if (NumNests >= 11 && Batched.Stats.ScalarFallback == 0) {
+    std::cerr << "FAIL: coupled nests did not reach the scalar fallback\n";
+    return 1;
   }
 
   uint64_t Pairs = Scalar.Stats.ReferencePairs;
-  double ScalarPps = Pairs / Scalar.Secs;
-  double BatchedPps = Pairs / Batched.Secs;
-  double Speedup = Scalar.Secs / Batched.Secs;
+  double ScalarPps = Pairs / Scalar.secs();
+  double BatchedPps = Pairs / Batched.secs();
+  double Speedup = medianSpeedup(Scalar, Batched);
 
   std::printf("x3 batched-vs-scalar ablation: %u nests, %llu tested pairs, "
-              "%u threads%s\n",
-              NumNests, static_cast<unsigned long long>(Pairs), Threads,
-              batchingCompiledIn() ? "" : " (batching compiled out)");
-  std::printf("  scalar:   %8.1f ms  %10.0f pairs/sec\n", Scalar.Secs * 1e3,
+              "%u threads, median of %u interleaved reps\n",
+              NumNests, static_cast<unsigned long long>(Pairs), Threads, Reps);
+  std::printf("  scalar:   %8.1f ms  %10.0f pairs/sec\n", Scalar.secs() * 1e3,
               ScalarPps);
   std::printf("  batched:  %8.1f ms  %10.0f pairs/sec  (%.2fx)\n",
-              Batched.Secs * 1e3, BatchedPps, Speedup);
+              Batched.secs() * 1e3, BatchedPps, Speedup);
   std::printf("  routing: ziv %llu, strong-siv %llu, scalar fallback %llu\n",
               static_cast<unsigned long long>(Batched.Stats.BatchedZIV),
               static_cast<unsigned long long>(Batched.Stats.BatchedStrongSIV),
@@ -242,11 +276,9 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
   auto EmitReport = [&](const char *FileName, const char *Config,
                         BatchMode Mode) {
     setBatchModeOverride(Mode);
-    if (Metrics::compiledIn()) {
-      Metrics::reset();
-      if (!Metrics::enabled())
-        Metrics::enable();
-    }
+    Metrics::reset();
+    if (!Metrics::enabled())
+      Metrics::enable();
     TestStats S;
     auto Start = std::chrono::steady_clock::now();
     DependenceGraph::build(Prog, Symbols, &S, false, Threads);
@@ -278,10 +310,8 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
        << ", \"tested_pairs\": " << Pairs
        << ", \"smoke\": " << (Smoke ? "true" : "false") << "},\n"
        << "  \"threads\": " << Threads << ",\n"
-       << "  \"batching_compiled_in\": "
-       << (batchingCompiledIn() ? "true" : "false") << ",\n"
-       << "  \"scalar_ms\": " << Scalar.Secs * 1e3 << ",\n"
-       << "  \"batched_ms\": " << Batched.Secs * 1e3 << ",\n"
+       << "  \"scalar_ms\": " << Scalar.secs() * 1e3 << ",\n"
+       << "  \"batched_ms\": " << Batched.secs() * 1e3 << ",\n"
        << "  \"scalar_pairs_per_sec\": " << ScalarPps << ",\n"
        << "  \"batched_pairs_per_sec\": " << BatchedPps << ",\n"
        << "  \"speedup_batched_vs_scalar\": " << Speedup << ",\n"
@@ -293,7 +323,7 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
        << "  \"stats_identical\": true\n"
        << "}\n";
 
-  if (!Smoke && batchingCompiledIn() && Speedup < 1.5) {
+  if (!Smoke && Speedup < 1.5) {
     std::cerr << "FAIL: batched path only " << Speedup
               << "x over scalar (need >= 1.5x)\n";
     return 1;
@@ -328,7 +358,7 @@ int main(int argc, char **argv) {
     return runAblation(Smoke, Threads, Smoke ? 12 : NumNests);
   if (Smoke)
     NumNests = 4;
-  unsigned Reps = Smoke ? 1 : 3;
+  unsigned Reps = Smoke ? 1 : 11;
 
   // A large synthetic program: stencil statements over shared arrays,
   // so same-array buckets are big and the pair population is dense.
@@ -356,22 +386,28 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  Measurement Seed = timeBest(Reps, [&] {
-    TestStats S;
-    std::vector<Dependence> Edges = buildSeedEdges(Prog, Symbols, &S);
-    return std::pair(std::move(Edges), S);
-  });
-  Measurement Serial = timeBest(Reps, [&] {
-    TestStats S;
-    DependenceGraph G = DependenceGraph::build(Prog, Symbols, &S, false, 1);
-    return std::pair(G.dependences(), S);
-  });
-  Measurement Parallel = timeBest(Reps, [&] {
-    TestStats S;
-    DependenceGraph G =
-        DependenceGraph::build(Prog, Symbols, &S, false, Threads);
-    return std::pair(G.dependences(), S);
-  });
+  std::vector<Measurement> Legs = timeInterleaved(
+      Reps, {[&] {
+               TestStats S;
+               std::vector<Dependence> Edges =
+                   buildSeedEdges(Prog, Symbols, &S);
+               return std::pair(std::move(Edges), S);
+             },
+             [&] {
+               TestStats S;
+               DependenceGraph G =
+                   DependenceGraph::build(Prog, Symbols, &S, false, 1);
+               return std::pair(G.dependences(), S);
+             },
+             [&] {
+               TestStats S;
+               DependenceGraph G =
+                   DependenceGraph::build(Prog, Symbols, &S, false, Threads);
+               return std::pair(G.dependences(), S);
+             }});
+  const Measurement &Seed = Legs[0];
+  const Measurement &Serial = Legs[1];
+  const Measurement &Parallel = Legs[2];
 
   // Hard equivalence: all three paths must agree edge for edge and
   // counter for counter.
@@ -386,23 +422,23 @@ int main(int argc, char **argv) {
   }
 
   uint64_t Pairs = Seed.Stats.ReferencePairs;
-  double SeedPps = Pairs / Seed.Secs;
-  double SerialPps = Pairs / Serial.Secs;
-  double ParallelPps = Pairs / Parallel.Secs;
-  double SpeedupSerial = Seed.Secs / Serial.Secs;
-  double SpeedupParallel = Seed.Secs / Parallel.Secs;
-  double ThreadScaling = Serial.Secs / Parallel.Secs;
+  double SeedPps = Pairs / Seed.secs();
+  double SerialPps = Pairs / Serial.secs();
+  double ParallelPps = Pairs / Parallel.secs();
+  double SpeedupSerial = medianSpeedup(Seed, Serial);
+  double SpeedupParallel = medianSpeedup(Seed, Parallel);
+  double ThreadScaling = medianSpeedup(Serial, Parallel);
 
   std::printf("x3 graph throughput: %u accesses, %llu tested pairs, %llu edges\n",
               NumAccesses, static_cast<unsigned long long>(Pairs),
               static_cast<unsigned long long>(std::count(
                   Seed.EdgeReport.begin(), Seed.EdgeReport.end(), '\n')));
   std::printf("  seed path:          %8.1f ms  %10.0f pairs/sec\n",
-              Seed.Secs * 1e3, SeedPps);
+              Seed.secs() * 1e3, SeedPps);
   std::printf("  cached serial:      %8.1f ms  %10.0f pairs/sec  (%.2fx vs seed)\n",
-              Serial.Secs * 1e3, SerialPps, SpeedupSerial);
+              Serial.secs() * 1e3, SerialPps, SpeedupSerial);
   std::printf("  cached %u-thread:    %8.1f ms  %10.0f pairs/sec  (%.2fx vs seed, %.2fx vs serial)\n",
-              Threads, Parallel.Secs * 1e3, ParallelPps, SpeedupParallel,
+              Threads, Parallel.secs() * 1e3, ParallelPps, SpeedupParallel,
               ThreadScaling);
 
   std::ofstream Json(benchOutputPath("BENCH_graph_throughput.json"));
@@ -412,9 +448,9 @@ int main(int argc, char **argv) {
        << ", \"accesses\": " << NumAccesses << ", \"tested_pairs\": " << Pairs
        << ", \"smoke\": " << (Smoke ? "true" : "false") << "},\n"
        << "  \"threads\": " << Threads << ",\n"
-       << "  \"seed_ms\": " << Seed.Secs * 1e3 << ",\n"
-       << "  \"serial_ms\": " << Serial.Secs * 1e3 << ",\n"
-       << "  \"parallel_ms\": " << Parallel.Secs * 1e3 << ",\n"
+       << "  \"seed_ms\": " << Seed.secs() * 1e3 << ",\n"
+       << "  \"serial_ms\": " << Serial.secs() * 1e3 << ",\n"
+       << "  \"parallel_ms\": " << Parallel.secs() * 1e3 << ",\n"
        << "  \"seed_pairs_per_sec\": " << SeedPps << ",\n"
        << "  \"serial_pairs_per_sec\": " << SerialPps << ",\n"
        << "  \"parallel_pairs_per_sec\": " << ParallelPps << ",\n"

@@ -116,9 +116,9 @@ int main(int argc, char **argv) {
       std::filesystem::temp_directory_path(EC) /
       ("pdt-x6-store-" + std::to_string(static_cast<unsigned>(getpid())));
   bool StoreActive =
-      !EC && resultStoreCompiledIn() &&
-      ResultStore::activate(StoreDir.string(),
-                            analyzerOptionsFingerprint(AnalyzerOptions()));
+      !EC && ResultStore::activate(
+                 StoreDir.string(),
+                 analyzerOptionsFingerprint(AnalyzerOptions()));
 
   FuzzCampaignConfig Config;
   Config.Seed = 1;

@@ -268,7 +268,7 @@ DependenceGraph DependenceGraph::build(const Program &P,
   bool BudgetSkipsPairs =
       Tracker && (Tracker->limits().Deadline || Tracker->limits().MaxPairs);
   BatchMode Mode = batchMode();
-  bool Batched = batchingCompiledIn() && !BudgetSkipsPairs && !Faulted &&
+  bool Batched = !BudgetSkipsPairs && !Faulted &&
                  (Mode == BatchMode::On ||
                   (Mode == BatchMode::Auto && Pairs.size() >= MinPairsForPool));
 

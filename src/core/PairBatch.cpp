@@ -42,14 +42,6 @@ void pdt::setBatchModeOverride(std::optional<BatchMode> Mode) {
   overrideSlot() = Mode;
 }
 
-bool pdt::batchingCompiledIn() {
-#if PDT_BATCHING
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
                                           size_t PairIdx,
                                           PairBatchPlan &Plan) const {

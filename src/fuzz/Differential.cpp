@@ -215,8 +215,7 @@ void checkDynamicCoverage(const FuzzKernel &K, const FuzzCheckConfig &Config,
   // indistinguishable from the scalar testers on every kernel. Forced
   // On (not Auto) so small kernels below the batching threshold still
   // exercise the planner and kernels.
-  if (Config.RunBatchCrossCheck && batchingCompiledIn() &&
-      !FaultInjector::armed()) {
+  if (Config.RunBatchCrossCheck && !FaultInjector::armed()) {
     TestStats BatchedStats;
     DependenceGraph BatchedG = [&] {
       StoreBypassGuard NoStore;
@@ -241,8 +240,8 @@ void checkDynamicCoverage(const FuzzKernel &K, const FuzzCheckConfig &Config,
   // them — and require both graphs and their result-bearing TestStats
   // to match the store-bypassed baseline exactly. Scalar routing on
   // both passes so any difference implicates the store alone.
-  if (Config.RunStoreCrossCheck && resultStoreCompiledIn() &&
-      !FaultInjector::anyArmed() && ResultStore::active()) {
+  if (Config.RunStoreCrossCheck && !FaultInjector::anyArmed() &&
+      ResultStore::active()) {
     for (int Pass = 0; Pass != 2; ++Pass) {
       TestStats StoreStats;
       DependenceGraph StoreG = [&] {

@@ -104,16 +104,15 @@ struct FuzzCheckConfig {
   bool FailOnDegraded = false;
   /// On kernels that run the whole-pipeline check, also rebuild the
   /// dependence graph with batching forced on and forced off and
-  /// require identical graphs and TestStats (skipped when batching is
-  /// compiled out or fault injection is armed, which forces the
-  /// scalar path anyway).
+  /// require identical graphs and TestStats (skipped when fault
+  /// injection is armed, which forces the scalar path anyway).
   bool RunBatchCrossCheck = true;
   /// On kernels that run the whole-pipeline check and while a
   /// persistent result store is active, rebuild the dependence graph
   /// twice through the store (populating, then hitting) and require
   /// graphs and TestStats byte-identical to the store-bypassed fresh
-  /// build (skipped when the store is compiled out, inactive, or any
-  /// fault injector is armed).
+  /// build (skipped when the store is inactive or any fault injector
+  /// is armed).
   bool RunStoreCrossCheck = true;
   /// Deliberately planted harness-validation bugs: the fuzzer must
   /// catch its own sabotage (used by the self-tests and the shrinker

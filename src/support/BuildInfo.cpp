@@ -7,21 +7,13 @@
 
 #include "support/BuildInfo.h"
 
-#include "support/Trace.h"
-
 // The build passes these through pdt_support's compile definitions;
 // standalone compilation gets honest fallbacks.
 #ifndef PDT_BUILD_TYPE
 #define PDT_BUILD_TYPE "unknown"
 #endif
-#ifndef PDT_OPT_BATCHING
-#define PDT_OPT_BATCHING 1
-#endif
-#ifndef PDT_OPT_STORE
-#define PDT_OPT_STORE 1
-#endif
-#ifndef PDT_OPT_SANITIZE
-#define PDT_OPT_SANITIZE 0
+#ifndef PDT_BUILD_SANITIZE
+#define PDT_BUILD_SANITIZE 0
 #endif
 
 using namespace pdt;
@@ -30,15 +22,10 @@ const BuildInfo &pdt::buildInfo() {
   static const BuildInfo Info = {
       AnalyzerVersion,
       sizeof(PDT_BUILD_TYPE) > 1 ? PDT_BUILD_TYPE : "unknown",
-      Trace::compiledIn(),
-      PDT_OPT_BATCHING != 0,
-      PDT_OPT_STORE != 0,
-      PDT_OPT_SANITIZE != 0,
+      PDT_BUILD_SANITIZE != 0,
   };
   return Info;
 }
-
-static const char *onOff(bool B) { return B ? "on" : "off"; }
 
 std::string pdt::buildInfoLine(const char *Tool) {
   const BuildInfo &I = buildInfo();
@@ -47,14 +34,8 @@ std::string pdt::buildInfoLine(const char *Tool) {
   Out += I.Version;
   Out += " (build ";
   Out += I.BuildType;
-  Out += "; tracing=";
-  Out += onOff(I.Tracing);
-  Out += " batching=";
-  Out += onOff(I.Batching);
-  Out += " store=";
-  Out += onOff(I.PersistentStore);
-  Out += " sanitize=";
-  Out += onOff(I.Sanitize);
+  Out += "; sanitize=";
+  Out += I.Sanitize ? "on" : "off";
   Out += ')';
   return Out;
 }
@@ -65,13 +46,7 @@ std::string pdt::buildInfoJson() {
   Out += I.Version;
   Out += "\", \"build_type\": \"";
   Out += I.BuildType;
-  Out += "\", \"tracing\": ";
-  Out += I.Tracing ? "true" : "false";
-  Out += ", \"batching\": ";
-  Out += I.Batching ? "true" : "false";
-  Out += ", \"store\": ";
-  Out += I.PersistentStore ? "true" : "false";
-  Out += ", \"sanitize\": ";
+  Out += "\", \"sanitize\": ";
   Out += I.Sanitize ? "true" : "false";
   Out += "}";
   return Out;

@@ -85,8 +85,6 @@ bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
 
 } // namespace
 
-#if PDT_TRACING
-
 namespace {
 
 /// One thread's ring. Single writer (the owning thread): store the
@@ -143,7 +141,7 @@ bool FlightRecorder::enabled() {
   return state().Enabled.load(std::memory_order_relaxed);
 }
 
-bool FlightRecorder::start(size_t BytesPerThread, std::string DumpPath) {
+void FlightRecorder::start(size_t BytesPerThread, std::string DumpPath) {
   FlightState &S = state();
   {
     std::lock_guard<std::mutex> Lock(S.M);
@@ -158,7 +156,6 @@ bool FlightRecorder::start(size_t BytesPerThread, std::string DumpPath) {
   Trace::nowNs();
   S.Enabled.store(true, std::memory_order_relaxed);
   Trace::setCaptureBit(Trace::CaptureFlight, true);
-  return true;
 }
 
 void FlightRecorder::stop() {
@@ -284,8 +281,6 @@ std::string FlightRecorder::dumpPath() {
   return S.DumpPath;
 }
 
-#endif // PDT_TRACING
-
 bool FlightRecorder::parseSpec(const std::string &Spec, bool &On,
                                size_t &BytesPerThread,
                                std::string &DumpPath) {
@@ -313,13 +308,6 @@ void FlightRecorder::initFromEnvironment() {
   }
   if (!On)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_FLIGHT is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no flight "
-                         "recorder available\n");
-    return;
-  }
-#if PDT_TRACING
   FlightRecorder::start(Bytes, std::move(Path));
   // A crashing run is exactly when the black box matters: dump the
   // surviving window before the process dies.
@@ -327,7 +315,6 @@ void FlightRecorder::initFromEnvironment() {
     if (FlightRecorder::enabled())
       FlightRecorder::postmortem("crash");
   });
-#endif
 }
 
 namespace {

@@ -273,9 +273,7 @@ void Metrics::observeImpl(Histo H, uint64_t Ns) {
   relaxedAdd(Cells.Buckets[Bucket], 1);
 }
 
-bool Metrics::enable(std::string Path) {
-  if (!compiledIn())
-    return false;
+void Metrics::enable(std::string Path) {
   reset();
   {
     MetricsCollector &C = metricsCollector();
@@ -286,7 +284,6 @@ bool Metrics::enable(std::string Path) {
   // arming time, not inside the first LatencyTimer.
   Trace::nowNs();
   EnabledFlag.store(true, std::memory_order_relaxed);
-  return true;
 }
 
 bool Metrics::stop() {
@@ -474,20 +471,13 @@ void Metrics::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_METRICS");
   if (!Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_METRICS is set but metrics were "
-                         "compiled out (PDT_TRACING=OFF); no report will be "
-                         "written\n");
-    return;
-  }
-  if (Metrics::enable(std::move(*Path))) {
-    std::atexit([] { Metrics::stop(); });
-    // Aborting runs skip atexit; flush on terminate/SIGABRT too.
-    registerCrashFlush("PDT_METRICS", [] {
-      if (Metrics::enabled())
-        Metrics::stop();
-    });
-  }
+  Metrics::enable(std::move(*Path));
+  std::atexit([] { Metrics::stop(); });
+  // Aborting runs skip atexit; flush on terminate/SIGABRT too.
+  registerCrashFlush("PDT_METRICS", [] {
+    if (Metrics::enabled())
+      Metrics::stop();
+  });
 }
 
 namespace {

@@ -218,9 +218,7 @@ void Trace::record(const char *Name, const char *Category, int16_t Kind,
   Buffer.Size.store(N + 1, std::memory_order_release);
 }
 
-bool Trace::start(std::string Path) {
-  if (!compiledIn())
-    return false;
+void Trace::start(std::string Path) {
   clear();
   {
     Collector &C = collector();
@@ -231,7 +229,6 @@ bool Trace::start(std::string Path) {
   // Anchor the clock before the first span can observe it.
   nowNs();
   setCaptureBit(CaptureFull, true);
-  return true;
 }
 
 bool Trace::stop() {
@@ -364,21 +361,14 @@ void Trace::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_TRACE");
   if (!Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_TRACE is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no trace will be "
-                         "written\n");
-    return;
-  }
-  if (Trace::start(std::move(*Path))) {
-    std::atexit([] { Trace::stop(); });
-    // An aborting run skips atexit; the crash-flush registry covers
-    // std::terminate and SIGABRT so the trace survives those too.
-    registerCrashFlush("PDT_TRACE", [] {
-      if (Trace::enabled())
-        Trace::stop();
-    });
-  }
+  Trace::start(std::move(*Path));
+  std::atexit([] { Trace::stop(); });
+  // An aborting run skips atexit; the crash-flush registry covers
+  // std::terminate and SIGABRT so the trace survives those too.
+  registerCrashFlush("PDT_TRACE", [] {
+    if (Trace::enabled())
+      Trace::stop();
+  });
 }
 
 namespace {

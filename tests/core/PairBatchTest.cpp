@@ -127,17 +127,13 @@ TEST(PairBatch, RoutingCountersReflectRouting) {
   EXPECT_EQ(routingTotal(Off.Stats), 0u);
 
   BuildOut On = buildWith(*Base.Prog, Base.ResolvedSymbols, BatchMode::On, 1);
-  if (batchingCompiledIn()) {
-    EXPECT_GT(On.Stats.BatchedZIV, 0u);
-    EXPECT_GT(On.Stats.BatchedStrongSIV, 0u);
-    // The workload plants coupled (i+j) subscripts every 11th nest.
-    EXPECT_GT(On.Stats.ScalarFallback, 0u);
-    // Batched subscripts are a subset of the structural classes.
-    EXPECT_LE(On.Stats.BatchedZIV, On.Stats.ZIVSubscripts);
-    EXPECT_LE(On.Stats.BatchedStrongSIV, On.Stats.SIVSubscripts);
-  } else {
-    EXPECT_EQ(routingTotal(On.Stats), 0u);
-  }
+  EXPECT_GT(On.Stats.BatchedZIV, 0u);
+  EXPECT_GT(On.Stats.BatchedStrongSIV, 0u);
+  // The workload plants coupled (i+j) subscripts every 11th nest.
+  EXPECT_GT(On.Stats.ScalarFallback, 0u);
+  // Batched subscripts are a subset of the structural classes.
+  EXPECT_LE(On.Stats.BatchedZIV, On.Stats.ZIVSubscripts);
+  EXPECT_LE(On.Stats.BatchedStrongSIV, On.Stats.SIVSubscripts);
 
   // Routing must not leak into results.
   EXPECT_EQ(On.Graph, Off.Graph);
@@ -148,8 +144,6 @@ TEST(PairBatch, DriverPathBatchesUnderUnlimitedBudget) {
   // analyzeSource always carries a ResourceBudget; the default
   // (unlimited) budget must not forfeit batching — only the
   // pair-skipping limits (deadline, pair cap) force scalar order.
-  if (!batchingCompiledIn())
-    GTEST_SKIP() << "PDT_BATCHING=OFF";
   std::mt19937_64 Rng(7);
   std::string Source = generateBatchHeavyProgramSource(Rng, /*NumNests=*/8);
 

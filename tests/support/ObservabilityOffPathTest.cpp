@@ -5,73 +5,72 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The zero-cost contract for observability when it is not wanted:
-//
-//   * compiled out (-DPDT_TRACING=OFF), Span aliases NoopSpan, which
-//     must stay an empty type — no members, no atomics, nothing for
-//     the hot loops to carry (compile-time checks below run in every
-//     build, so the instrumented build also proves the off-path type
-//     never grows state);
-//   * compiled in but disarmed (the default production state), spans
-//     and metric recordings must observably do nothing.
+// The zero-cost contract for observability when it is not wanted: in
+// the default production state nothing is armed, and spans, metric
+// recordings, flight-recorder pushes, journal events and sampler ticks
+// must observably do nothing. No test in this binary arms the flight
+// recorder, the journal or the sampler, so they are checked in their
+// never-armed state.
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/EventLog.h"
+#include "support/FlightRecorder.h"
 #include "support/Metrics.h"
+#include "support/Sampler.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
 using namespace pdt;
-
-// The compiled-out span adds no state. Checked in every build — an
-// instrumented build still compiles NoopSpan, so a member sneaking
-// into it fails CI everywhere, not only in the rarely-built OFF
-// configuration.
-static_assert(std::is_empty_v<NoopSpan>,
-              "NoopSpan must remain empty: the compiled-out tracing "
-              "path may not add state to instrumented scopes");
-static_assert(!std::is_copy_constructible_v<NoopSpan>,
-              "NoopSpan mirrors Span's non-copyability so code that "
-              "compiles against one compiles against the other");
-
-#if !PDT_TRACING
-// When tracing is compiled out, Span IS the empty type and the
-// enabled() queries fold to constants.
-static_assert(std::is_same_v<Span, NoopSpan>,
-              "compiled-out builds must alias Span to NoopSpan");
-#endif
 
 TEST(ObservabilityOffPath, DisarmedSpanRecordsNothing) {
   Trace::stop();
   Trace::clear();
+  ASSERT_FALSE(FlightRecorder::enabled());
   {
     Span S("off-path-span", "test");
     Span Nested("off-path-nested", "test");
   }
+  FlightRecorder::record({"off-path-direct", "test"});
   EXPECT_TRUE(Trace::snapshot().empty());
   EXPECT_FALSE(Trace::enabled());
+
+  EXPECT_TRUE(FlightRecorder::snapshot().empty());
+  FlightRecorder::Stats Flight = FlightRecorder::stats();
+  EXPECT_EQ(Flight.Recorded, 0u);
+  EXPECT_EQ(Flight.Threads, 0u);
+  EXPECT_EQ(Flight.BytesInUse, 0u);
+  EXPECT_FALSE(FlightRecorder::enabled());
 }
 
 TEST(ObservabilityOffPath, DisarmedMetricsRecordNothing) {
   Metrics::stop();
   Metrics::reset();
+  ASSERT_FALSE(EventLog::enabled());
+  ASSERT_FALSE(Sampler::enabled());
   Metrics::count(Metric::PairsTested);
   Metrics::gaugeMax(Gauge::PoolQueueDepth, 99);
   Metrics::observe(Histo::DeltaNs, 12345);
   Metrics::countDegraded(0);
   { LatencyTimer T(Histo::PairTestNs); }
+  EventLog::event(EventSeverity::Error, "test", "off-path-event", "detail",
+                  {{"n", 1}});
+  size_t Series = Sampler::registerSeries("off-path-series", [] {
+    return uint64_t(7);
+  });
+  Sampler::sampleOnceForTest();
+  Sampler::unregisterSeries(Series);
+  Sampler::stop();
   EXPECT_EQ(Metrics::snapshot(), MetricsSnapshot());
   EXPECT_FALSE(Metrics::enabled());
-}
 
-TEST(ObservabilityOffPath, CompiledOutNeverArms) {
-  if (Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled in; arming is allowed";
-  EXPECT_FALSE(Trace::start("unused.json"));
-  EXPECT_FALSE(Trace::enabled());
-  EXPECT_FALSE(Metrics::enable("unused.json"));
-  EXPECT_FALSE(Metrics::enabled());
+  EXPECT_EQ(EventLog::counts().total(), 0u);
+  EXPECT_EQ(EventLog::counts().Suppressed, 0u);
+  EXPECT_TRUE(EventLog::recentLines().empty());
+  EXPECT_FALSE(EventLog::enabled());
+
+  EXPECT_EQ(Sampler::summary().Samples, 0u);
+  EXPECT_TRUE(Sampler::recentLines().empty());
+  EXPECT_FALSE(Sampler::enabled());
 }
