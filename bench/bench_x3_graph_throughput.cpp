@@ -58,25 +58,6 @@ using namespace pdt;
 
 namespace {
 
-/// One dependence edge rendered without graph identity, so edge lists
-/// from different builders can be compared byte for byte.
-std::string renderEdges(const std::vector<Dependence> &Edges) {
-  std::string Out;
-  for (const Dependence &D : Edges) {
-    Out += dependenceKindName(D.Kind);
-    Out += ' ';
-    Out += std::to_string(D.Source);
-    Out += "->";
-    Out += std::to_string(D.Sink);
-    Out += ' ';
-    Out += D.Vector.str();
-    Out += D.Carrier ? " @" + D.Carrier->getIndexName() : " indep";
-    Out += D.Exact ? " exact" : " assumed";
-    Out += '\n';
-  }
-  return Out;
-}
-
 /// The seed implementation of DependenceGraph::build, kept verbatim as
 /// the baseline: serial all-pairs loop, full per-pair lowering through
 /// testAccessPair, no bucketing and no cache.
@@ -136,18 +117,6 @@ std::vector<Dependence> buildSeedEdges(const Program &P,
   return Edges;
 }
 
-double seconds(std::chrono::steady_clock::duration D) {
-  return std::chrono::duration<double>(D).count();
-}
-
-double median(std::vector<double> Values) {
-  if (Values.empty())
-    return 0.0;
-  std::sort(Values.begin(), Values.end());
-  size_t N = Values.size();
-  return N % 2 ? Values[N / 2] : (Values[N / 2 - 1] + Values[N / 2]) / 2.0;
-}
-
 /// One configuration's timings (one wall time per rep) plus the edges
 /// and statistics of its first rep.
 struct Measurement {
@@ -159,8 +128,9 @@ struct Measurement {
 };
 
 /// The median over reps of \p Num's time divided by \p Den's time in
-/// the same rep: the speedup of \p Den over \p Num (see bench_x5 for
-/// why median-of-paired-ratios and not best-of-N).
+/// the same rep: the speedup of \p Den over \p Num (see
+/// medianOverhead in BenchMeta.h for why median-of-paired-ratios and
+/// not best-of-N).
 double medianSpeedup(const Measurement &Num, const Measurement &Den) {
   std::vector<double> Ratios;
   for (size_t R = 0; R != Num.RepSecs.size(); ++R)

@@ -51,34 +51,6 @@ using namespace pdt;
 
 namespace {
 
-/// One dependence edge rendered without graph identity (same format as
-/// bench_x3), so the two legs compare byte for byte.
-std::string renderEdges(const std::vector<Dependence> &Edges) {
-  std::string Out;
-  for (const Dependence &D : Edges) {
-    Out += dependenceKindName(D.Kind);
-    Out += ' ';
-    Out += std::to_string(D.Source);
-    Out += "->";
-    Out += std::to_string(D.Sink);
-    Out += ' ';
-    Out += D.Vector.str();
-    Out += D.Carrier ? " @" + D.Carrier->getIndexName() : " indep";
-    Out += D.Exact ? " exact" : " assumed";
-    Out += '\n';
-  }
-  return Out;
-}
-
-struct Leg {
-  double Secs = 0;
-  std::string EdgeReport;
-};
-
-double seconds(std::chrono::steady_clock::duration D) {
-  return std::chrono::duration<double>(D).count();
-}
-
 /// One timed graph build; arming (when \p Arm) happens before the
 /// timer and re-arms per call, clearing the buffers so memory stays
 /// bounded across reps.
@@ -98,43 +70,6 @@ Leg timeOneBuild(const Program &Prog, const SymbolRangeMap &Symbols,
   L.Secs = seconds(std::chrono::steady_clock::now() - Start);
   L.EdgeReport = renderEdges(G.dependences());
   return L;
-}
-
-/// Times the disarmed and armed configurations interleaved rep by rep
-/// and returns the median of the per-rep armed/disarmed ratios.
-///
-/// Two choices matter on a shared box whose load drifts. Interleaving
-/// means each ratio compares two adjacent runs that saw (nearly) the
-/// same machine state, so drift divides out of every sample; a
-/// sequential A-then-B timing attributes a background hiccup entirely
-/// to one leg. And the median of those ratios is robust to the
-/// occasional rep that a scheduler hiccup inflates — best-of-N, the
-/// usual benchmark statistic, compares two extreme order statistics
-/// whose gap on this workload is wider than the overhead being
-/// measured. Also fills \p Disarmed / \p Armed with each leg's fastest
-/// rep for reporting and the edge-identity check.
-double timeBuilds(unsigned Reps, const Program &Prog,
-                  const SymbolRangeMap &Symbols, unsigned Threads,
-                  Leg &Disarmed, Leg &Armed) {
-  std::vector<double> Ratios;
-  Ratios.reserve(Reps);
-  for (unsigned R = 0; R != Reps; ++R) {
-    Leg D = timeOneBuild(Prog, Symbols, Threads, /*Arm=*/false);
-    Leg A = timeOneBuild(Prog, Symbols, Threads, /*Arm=*/true);
-    if (D.Secs > 0)
-      Ratios.push_back(A.Secs / D.Secs);
-    if (Disarmed.EdgeReport.empty() || D.Secs < Disarmed.Secs)
-      Disarmed = std::move(D);
-    if (Armed.EdgeReport.empty() || A.Secs < Armed.Secs)
-      Armed = std::move(A);
-  }
-  if (Ratios.empty())
-    return 0.0;
-  std::sort(Ratios.begin(), Ratios.end());
-  size_t N = Ratios.size();
-  double Median = N % 2 ? Ratios[N / 2]
-                        : (Ratios[N / 2 - 1] + Ratios[N / 2]) / 2.0;
-  return Median - 1.0;
 }
 
 /// The instrumented layer a span name belongs to, by its category.
@@ -190,7 +125,10 @@ int main(int argc, char **argv) {
   // Interleaved paired reps: disarmed (the production configuration)
   // vs everything armed.
   Leg Disarmed, Armed;
-  double Overhead = timeBuilds(Reps, Prog, Symbols, Threads, Disarmed, Armed);
+  double Overhead = medianOverhead(
+      Reps,
+      [&](bool Arm) { return timeOneBuild(Prog, Symbols, Threads, Arm); },
+      Disarmed, Armed);
 
   // Instrumentation must never change the analysis.
   if (Armed.EdgeReport != Disarmed.EdgeReport)

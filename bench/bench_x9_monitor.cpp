@@ -59,34 +59,6 @@ using namespace pdt;
 
 namespace {
 
-/// One dependence edge rendered without graph identity (same format as
-/// bench_x3 / bench_x5), so the two legs compare byte for byte.
-std::string renderEdges(const std::vector<Dependence> &Edges) {
-  std::string Out;
-  for (const Dependence &D : Edges) {
-    Out += dependenceKindName(D.Kind);
-    Out += ' ';
-    Out += std::to_string(D.Source);
-    Out += "->";
-    Out += std::to_string(D.Sink);
-    Out += ' ';
-    Out += D.Vector.str();
-    Out += D.Carrier ? " @" + D.Carrier->getIndexName() : " indep";
-    Out += D.Exact ? " exact" : " assumed";
-    Out += '\n';
-  }
-  return Out;
-}
-
-struct Leg {
-  double Secs = 0;
-  std::string EdgeReport;
-};
-
-double seconds(std::chrono::steady_clock::duration D) {
-  return std::chrono::duration<double>(D).count();
-}
-
 /// The armed leg's flight cap: small enough that the X3 workload wraps
 /// every ring several times over, so the bounded-memory assertion
 /// below actually bites (4 KiB = the 64-slot ring minimum).
@@ -130,32 +102,6 @@ Leg timeOneBuild(const Program &Prog, const SymbolRangeMap &Symbols,
   L.Secs = seconds(std::chrono::steady_clock::now() - Start);
   L.EdgeReport = renderEdges(G.dependences());
   return L;
-}
-
-/// Interleaved paired reps; returns the median armed/disarmed overhead
-/// (see bench_x5 for why median-of-paired-ratios and not best-of-N).
-double timeBuilds(unsigned Reps, const Program &Prog,
-                  const SymbolRangeMap &Symbols, unsigned Threads,
-                  Leg &Disarmed, Leg &Armed) {
-  std::vector<double> Ratios;
-  Ratios.reserve(Reps);
-  for (unsigned R = 0; R != Reps; ++R) {
-    Leg D = timeOneBuild(Prog, Symbols, Threads, /*Arm=*/false);
-    Leg A = timeOneBuild(Prog, Symbols, Threads, /*Arm=*/true);
-    if (D.Secs > 0)
-      Ratios.push_back(A.Secs / D.Secs);
-    if (Disarmed.EdgeReport.empty() || D.Secs < Disarmed.Secs)
-      Disarmed = std::move(D);
-    if (Armed.EdgeReport.empty() || A.Secs < Armed.Secs)
-      Armed = std::move(A);
-  }
-  if (Ratios.empty())
-    return 0.0;
-  std::sort(Ratios.begin(), Ratios.end());
-  size_t N = Ratios.size();
-  double Median =
-      N % 2 ? Ratios[N / 2] : (Ratios[N / 2 - 1] + Ratios[N / 2]) / 2.0;
-  return Median - 1.0;
 }
 
 std::atomic<uint64_t> FakeMs{0};
@@ -214,7 +160,10 @@ int main(int argc, char **argv) {
   Symbols.try_emplace("n", Interval(1, std::nullopt));
 
   Leg Disarmed, Armed;
-  double Overhead = timeBuilds(Reps, Prog, Symbols, Threads, Disarmed, Armed);
+  double Overhead = medianOverhead(
+      Reps,
+      [&](bool Arm) { return timeOneBuild(Prog, Symbols, Threads, Arm); },
+      Disarmed, Armed);
 
   // Monitoring must never change the analysis.
   if (Armed.EdgeReport != Disarmed.EdgeReport)

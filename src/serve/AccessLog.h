@@ -29,9 +29,9 @@
 ///
 /// Deliberately exempt from the journal's per-key rate limiter — the
 /// accounting contract is one line per request, enforced under
-/// saturation by bench_x11_reqobs — and crash-safe the same way the
-/// journal is: every line reaches the kernel (one write()) before
-/// append() returns.
+/// saturation by bench_x11_reqobs — and crash-safe through the same
+/// sink as the journal (support/JsonlSink.h): every line reaches the
+/// kernel in one write() before append() returns.
 ///
 /// Armed via PDT_ACCESS_LOG=path (depserved: --access-log) or
 /// programmatically with start(); disarmed, append() is one relaxed

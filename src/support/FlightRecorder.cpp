@@ -1,4 +1,4 @@
-//===- support/FlightRecorder.cpp - Bounded last-N span rings -------------===//
+//===- support/FlightRecorder.cpp - Flight dumps and PDT_FLIGHT -----------===//
 //
 // Part of the practical-dependence-testing project, released under the
 // MIT license.
@@ -12,13 +12,10 @@
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <mutex>
 
 using namespace pdt;
 
@@ -52,8 +49,11 @@ bool parseBytes(const std::string &S, size_t &Out) {
   return true;
 }
 
-bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
-                   std::string &DumpPath) {
+} // namespace
+
+bool FlightRecorder::parseSpec(const std::string &Spec, bool &On,
+                               size_t &BytesPerThread,
+                               std::string &DumpPath) {
   // Split on commas: "on[,bytes[,path]]" or "off".
   std::vector<std::string> Parts;
   size_t Pos = 0;
@@ -81,157 +81,6 @@ bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
   if (Parts.size() == 3)
     DumpPath = Parts[2];
   return true;
-}
-
-} // namespace
-
-namespace {
-
-/// One thread's ring. Single writer (the owning thread): store the
-/// slot, then publish Count with release. Count is monotonic and
-/// never wrapped — slot index is Count % Slots.size().
-struct FlightRing {
-  std::vector<TraceEvent> Slots;
-  std::atomic<uint64_t> Count{0};
-  uint32_t Tid = 0;
-};
-
-struct FlightState {
-  std::mutex M;
-  std::vector<std::shared_ptr<FlightRing>> Rings;
-  size_t SlotsPerThread = FlightRecorder::DefaultBytesPerThread /
-                          sizeof(TraceEvent);
-  std::string DumpPath = "pdt-flight.json";
-  std::atomic<bool> Enabled{false};
-  // Bumped by start(): retires every thread's cached ring so capacity
-  // changes take effect and old events vanish.
-  std::atomic<uint64_t> Generation{0};
-};
-
-FlightState &state() {
-  // Immortal like the trace collector: the crash-dump hook may run
-  // after static destruction began.
-  static FlightState *S = new FlightState;
-  return *S;
-}
-
-std::shared_ptr<FlightRing> registerRing() {
-  FlightState &S = state();
-  auto Ring = std::make_shared<FlightRing>();
-  std::lock_guard<std::mutex> Lock(S.M);
-  Ring->Slots.resize(S.SlotsPerThread);
-  Ring->Tid = static_cast<uint32_t>(S.Rings.size());
-  S.Rings.push_back(Ring);
-  return Ring;
-}
-
-struct ThreadRingRef {
-  std::shared_ptr<FlightRing> Ring;
-  uint64_t Generation = ~uint64_t(0);
-};
-
-ThreadRingRef &threadRing() {
-  thread_local ThreadRingRef Ref;
-  return Ref;
-}
-
-} // namespace
-
-bool FlightRecorder::enabled() {
-  return state().Enabled.load(std::memory_order_relaxed);
-}
-
-void FlightRecorder::start(size_t BytesPerThread, std::string DumpPath) {
-  FlightState &S = state();
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Rings.clear();
-    size_t Slots = BytesPerThread / sizeof(TraceEvent);
-    S.SlotsPerThread = Slots < 64 ? 64 : Slots;
-    if (!DumpPath.empty())
-      S.DumpPath = std::move(DumpPath);
-  }
-  S.Generation.fetch_add(1, std::memory_order_release);
-  // Anchor the span clock before the first ring write can observe it.
-  Trace::nowNs();
-  S.Enabled.store(true, std::memory_order_relaxed);
-  Trace::setCaptureBit(Trace::CaptureFlight, true);
-}
-
-void FlightRecorder::stop() {
-  Trace::setCaptureBit(Trace::CaptureFlight, false);
-  state().Enabled.store(false, std::memory_order_relaxed);
-}
-
-void FlightRecorder::record(const TraceEvent &E) {
-  FlightState &S = state();
-  if (!S.Enabled.load(std::memory_order_relaxed))
-    return;
-  ThreadRingRef &Ref = threadRing();
-  uint64_t Gen = S.Generation.load(std::memory_order_acquire);
-  if (!Ref.Ring || Ref.Generation != Gen) {
-    Ref.Ring = registerRing();
-    Ref.Generation = Gen;
-  }
-  FlightRing &Ring = *Ref.Ring;
-  uint64_t N = Ring.Count.load(std::memory_order_relaxed);
-  TraceEvent Slot = E;
-  Slot.Tid = Ring.Tid;
-  Ring.Slots[N % Ring.Slots.size()] = Slot;
-  Ring.Count.store(N + 1, std::memory_order_release);
-}
-
-std::vector<TraceEvent> FlightRecorder::snapshot() {
-  FlightState &S = state();
-  std::vector<TraceEvent> All;
-  std::vector<std::shared_ptr<FlightRing>> Rings;
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    Rings = S.Rings;
-  }
-  for (const std::shared_ptr<FlightRing> &Ring : Rings) {
-    const uint64_t Cap = Ring->Slots.size();
-    uint64_t End = Ring->Count.load(std::memory_order_acquire);
-    uint64_t Begin = End > Cap ? End - Cap : 0;
-    std::vector<std::pair<uint64_t, TraceEvent>> Window;
-    Window.reserve(End - Begin);
-    for (uint64_t I = Begin; I != End; ++I)
-      Window.emplace_back(I, Ring->Slots[I % Cap]);
-    // Writers kept running during the copy: any slot whose index the
-    // writer could have reused — published overwrites up to End2, plus
-    // the one unpublished write of index End2 that may be in flight —
-    // must be discarded, or we could return a torn event.
-    uint64_t End2 = Ring->Count.load(std::memory_order_acquire);
-    uint64_t FirstSafe = End2 >= Cap ? End2 - Cap + 1 : 0;
-    for (const auto &[Index, Event] : Window)
-      if (Index >= FirstSafe)
-        All.push_back(Event);
-  }
-  std::sort(All.begin(), All.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.Tid != B.Tid)
-                return A.Tid < B.Tid;
-              if (A.StartNs != B.StartNs)
-                return A.StartNs < B.StartNs;
-              return A.DurationNs > B.DurationNs;
-            });
-  return All;
-}
-
-FlightRecorder::Stats FlightRecorder::stats() {
-  FlightState &S = state();
-  Stats Out;
-  std::lock_guard<std::mutex> Lock(S.M);
-  Out.SlotsPerThread = static_cast<uint32_t>(S.SlotsPerThread);
-  Out.Threads = static_cast<uint32_t>(S.Rings.size());
-  for (const std::shared_ptr<FlightRing> &Ring : S.Rings) {
-    uint64_t Count = Ring->Count.load(std::memory_order_relaxed);
-    uint64_t Cap = Ring->Slots.size();
-    Out.Recorded += Count;
-    Out.Overwritten += Count > Cap ? Count - Cap : 0;
-    Out.BytesInUse += Cap * sizeof(TraceEvent);
-  }
-  return Out;
 }
 
 std::string FlightRecorder::toJson(const char *Reason) {
@@ -273,18 +122,6 @@ bool FlightRecorder::postmortem(const char *Reason) {
                   std::string(Reason ? Reason : "postmortem") +
                       (Ok ? " -> " + Path : " (write failed)"));
   return Ok;
-}
-
-std::string FlightRecorder::dumpPath() {
-  FlightState &S = state();
-  std::lock_guard<std::mutex> Lock(S.M);
-  return S.DumpPath;
-}
-
-bool FlightRecorder::parseSpec(const std::string &Spec, bool &On,
-                               size_t &BytesPerThread,
-                               std::string &DumpPath) {
-  return parseSpecImpl(Spec, On, BytesPerThread, DumpPath);
 }
 
 void FlightRecorder::initFromEnvironment() {

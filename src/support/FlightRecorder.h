@@ -6,32 +6,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The always-on flight recorder: one fixed-capacity ring buffer of
-/// TraceEvents per thread, continuously overwriting the oldest spans
-/// so memory stays bounded no matter how long the process runs — the
-/// black-box counterpart to PDT_TRACE's keep-everything buffers. Armed
-/// via PDT_FLIGHT=on[,bytes[,path]] or FlightRecorder::start(); spans
-/// flow in through the same pdt::Span gate as full tracing
-/// (Trace::CaptureFlight).
+/// The always-on flight recorder: the bounded policy of the one span
+/// store (support/Trace.h). Each recording thread's ring holds a fixed
+/// number of TraceEvents and new spans overwrite the oldest, so memory
+/// stays bounded no matter how long the process runs — the black-box
+/// counterpart to PDT_TRACE's keep-all policy. Armed via
+/// PDT_FLIGHT=on[,bytes[,path]] or FlightRecorder::start(); spans flow
+/// in through the same pdt::Span gate as full tracing.
 ///
 /// Ring invariants (checked by FlightRecorderTest under 1/4/8-thread
-/// contention):
+/// contention and across thread lifetimes):
 ///
 ///   * single writer per ring: the owning thread stores the slot, then
 ///     publishes Count with a release store — no locks, no RMW on the
 ///     record path;
-///   * Count is monotonic; Overwritten == max(0, Count - Capacity);
-///   * snapshot() is lock-free against writers: it copies the window
-///     [Count - min(Count, Cap), Count) under an acquire load, then
-///     re-reads Count and discards any slot a writer could have
-///     reused during the copy, so a returned event is never torn;
-///   * memory in use is exactly Threads * Capacity * sizeof(TraceEvent)
+///   * Count is monotonic; Overwritten == max(0, Count - SlotsPerThread);
+///   * snapshot() copies each ring's window [Count - min(Count, Cap),
+///     Count) under an acquire load, then re-reads Count and discards
+///     any slot a writer could have reused during the copy, so a
+///     returned event is never torn;
+///   * a ring whose thread exited is reused by the next thread to
+///     register, keeping its old spans until overwritten, so memory in
+///     use is exactly Threads * SlotsPerThread * sizeof(TraceEvent),
+///     Threads being the peak number of live recording threads
 ///     (bench_x9_monitor asserts the configured bound).
+///
+/// While a full trace is armed its rings are the flight rings, and the
+/// flight view is each ring's last SlotsPerThread spans.
 ///
 /// Dumps are Chrome-trace JSON (same event format as PDT_TRACE, plus a
 /// "flightRecorder" header with stats and build info), written on
 /// demand (dump()), on crash (CrashSafety hook), or by the watchdog's
-/// postmortem() when a stage stalls.
+/// postmortem() when a stage stalls. start, stop, enabled, snapshot,
+/// stats and dumpPath are defined next to the store in Trace.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,32 +59,30 @@ public:
   /// thread, enough to reconstruct the last build around a stall.
   static constexpr size_t DefaultBytesPerThread = 256 * 1024;
 
-  /// True while rings are recording.
+  /// True while the bounded policy is armed.
   static bool enabled();
 
   /// Arms the recorder: every thread that records a span from now on
-  /// gets a ring of \p BytesPerThread bytes. \p DumpPath (empty keeps
-  /// the previous / default "pdt-flight.json") is where postmortem
-  /// dumps land. Discards previously buffered events.
+  /// gets a ring of \p BytesPerThread bytes (at least 64 slots).
+  /// \p DumpPath (empty keeps the previous / default "pdt-flight.json")
+  /// is where postmortem dumps land. Discards previously buffered
+  /// events unless a full trace is armed.
   static void start(size_t BytesPerThread = DefaultBytesPerThread,
                     std::string DumpPath = "");
 
   /// Disarms; buffered events stay readable until the next start().
   static void stop();
 
-  /// Appends one finished span to the calling thread's ring. Called by
-  /// Trace::record when the CaptureFlight bit is armed.
-  static void record(const TraceEvent &E);
-
-  /// The surviving window of every ring, merged and sorted by
-  /// (thread, start time, longest-first) like Trace::snapshot().
+  /// The surviving window of every ring (its last SlotsPerThread
+  /// spans), merged and sorted by (thread, start time, longest-first)
+  /// like Trace::snapshot().
   static std::vector<TraceEvent> snapshot();
 
   struct Stats {
     uint64_t Recorded = 0;    ///< Spans ever pushed (monotonic).
-    uint64_t Overwritten = 0; ///< Spans lost to ring wraparound.
+    uint64_t Overwritten = 0; ///< Spans that left the window.
     uint64_t BytesInUse = 0;  ///< Slots allocated across all rings.
-    uint32_t Threads = 0;     ///< Rings (threads that recorded).
+    uint32_t Threads = 0;     ///< Rings (peak live recording threads).
     uint32_t SlotsPerThread = 0;
   };
   static Stats stats();

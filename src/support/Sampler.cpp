@@ -7,9 +7,9 @@
 
 #include "support/Sampler.h"
 
-#include "support/BuildInfo.h"
 #include "support/Env.h"
 #include "support/Json.h"
+#include "support/JsonlSink.h"
 #include "support/Metrics.h"
 
 #include <atomic>
@@ -38,7 +38,7 @@ struct Series {
 struct SamplerState {
   std::mutex M;
   std::atomic<bool> Enabled{false};
-  std::FILE *File = nullptr;
+  JsonlSink File;
   uint64_t IntervalMs = Sampler::DefaultIntervalMs;
   uint64_t Samples = 0;
   MetricsSnapshot Prev;
@@ -110,11 +110,8 @@ void appendSampleLocked(SamplerState &S) {
   if (S.Recent.size() == MaxRecentSamples)
     S.Recent.pop_front();
   S.Recent.push_back(Line);
-  if (S.File) {
-    std::fwrite(Line.data(), 1, Line.size(), S.File);
-    std::fputc('\n', S.File);
-    std::fflush(S.File);
-  }
+  Line += '\n';
+  S.File.write(Line);
 }
 
 void workerLoop(uint64_t IntervalMs) {
@@ -154,18 +151,10 @@ bool Sampler::start(uint64_t IntervalMs, const std::string &Path) {
     if (!Metrics::enabled())
       Metrics::enable();
     S.Prev = Metrics::snapshot();
-    if (!Path.empty()) {
-      S.File = std::fopen(Path.c_str(), "w");
-      FileOk = S.File != nullptr;
-      if (S.File) {
-        std::string Header =
-            "{\"schema\": \"pdt-timeseries-v1\", \"interval_ms\": " +
-            std::to_string(IntervalMs) + ", \"build\": " + buildInfoJson() +
-            "}\n";
-        std::fwrite(Header.data(), 1, Header.size(), S.File);
-        std::fflush(S.File);
-      }
-    }
+    if (!Path.empty())
+      FileOk = S.File.open(Path, "pdt-timeseries-v1",
+                           ", \"interval_ms\": " + std::to_string(IntervalMs),
+                           /*StampStart=*/false);
     S.Enabled.store(true, std::memory_order_relaxed);
   }
   if (IntervalMs) {
@@ -194,10 +183,7 @@ void Sampler::stop() {
     appendSampleLocked(S);
     S.Enabled.store(false, std::memory_order_relaxed);
   }
-  if (S.File) {
-    std::fclose(S.File);
-    S.File = nullptr;
-  }
+  S.File.close();
 }
 
 void Sampler::sampleOnceForTest() {

@@ -17,7 +17,9 @@
 /// and every sample line is
 ///   {"t_ms":N,"counters":{<name>:delta,...},"gauges":{...},
 ///    "series":{<custom>:value,...}}
-/// with zero deltas omitted to keep long idle stretches cheap.
+/// with zero deltas omitted to keep long idle stretches cheap. Each
+/// line reaches the kernel in one write() (support/JsonlSink.h) before
+/// the sample returns.
 ///
 /// Custom series: any subsystem can registerSeries("fuzz.stratum.zip",
 /// fn) to publish its own gauge — the fuzzer exports per-stratum

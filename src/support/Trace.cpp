@@ -27,66 +27,165 @@
 
 using namespace pdt;
 
-std::atomic<unsigned> Trace::CaptureFlags{0};
+std::atomic<uint8_t> Trace::Mode{Trace::Off};
 
 namespace {
 
-/// Per-thread span cap for the full buffers. Long fuzz campaigns used
-/// to grow these without bound; the cap turns that into counted drops.
+/// Per-thread span cap under keep-all. Long fuzz campaigns used to
+/// grow the rings without bound; the cap turns that into counted drops.
 constexpr uint32_t DefaultMaxSpansPerThread = 1u << 20;
 std::atomic<uint32_t> MaxSpansCap{DefaultMaxSpansPerThread};
 /// Multi-writer (any capped thread), so a real fetch_add — the path is
 /// already off the happy path when it runs.
 std::atomic<uint64_t> DroppedSpanCount{0};
 
-} // namespace
+/// Slots a keep-all ring starts with; it doubles from there.
+constexpr size_t InitialKeepAllSlots = 1024;
+/// The smallest bounded ring FlightRecorder::start grants.
+constexpr size_t MinBoundedSlots = 64;
 
-namespace {
-
-/// Events one thread recorded. Single-writer publish: the owning
-/// thread writes Events[N] and then stores Size = N + 1 (release)
-/// without taking the mutex — the armed hot path is two plain stores.
-/// The mutex serializes only the rare structural operations (growth by
-/// the owner, snapshot/clear by the collector); readers load Size
-/// (acquire) under the mutex and copy that stable prefix. The
-/// collector's shared_ptr keeps the buffer alive past thread exit so
-/// helper-thread spans survive until the dump.
-struct ThreadBuffer {
+/// One thread's spans. Single writer (the owning thread): it stores
+/// slot Count % Slots.size(), then publishes Count + 1 with a release
+/// store — no lock and no read-modify-write on the record path. Count
+/// is monotonic. Under keep-all the owner grows the ring before it
+/// fills, so Count < Slots.size() and no slot is ever overwritten;
+/// under bounded the slots wrap. M guards only reallocation (growth by
+/// the owner) against snapshots.
+struct SpanRing {
   std::mutex M;
-  std::vector<TraceEvent> Events = std::vector<TraceEvent>(1024);
-  std::atomic<uint32_t> Size{0};
+  std::vector<TraceEvent> Slots;
+  std::atomic<uint64_t> Count{0};
   uint32_t Tid = 0;
 };
 
-/// Process-wide registry of thread buffers plus the output path.
-struct Collector {
+/// The one span store: the registered rings, the free list, and each
+/// policy's arming state and outputs.
+struct SpanStore {
   std::mutex M;
-  std::vector<std::shared_ptr<ThreadBuffer>> Buffers;
-  std::string Path;
+  /// Every ring registered since the last reset; index == Tid.
+  std::vector<std::shared_ptr<SpanRing>> Rings;
+  /// Registered rings whose thread exited. A thread registering under
+  /// the bounded policy takes one before it allocates: the ring keeps
+  /// its Tid and its old spans stay readable until overwritten.
+  std::vector<std::shared_ptr<SpanRing>> Free;
+  /// Bumped by every reset; a thread holding a ring of an older epoch
+  /// registers again on its next span.
+  std::atomic<uint64_t> Epoch{1};
+  std::atomic<bool> BoundedArmed{false};
+  bool KeepAllArmed = false;
+  /// What the current epoch's rings hold: a trace (keep-all armed at
+  /// the reset) and/or a flight window (bounded armed since it).
+  bool TraceView = false, FlightView = false;
+  size_t BoundedSlots =
+      FlightRecorder::DefaultBytesPerThread / sizeof(TraceEvent);
+  std::string TracePath;
+  std::string DumpPath = "pdt-flight.json";
 
-  std::shared_ptr<ThreadBuffer> registerThread() {
-    auto Buffer = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> Lock(M);
-    Buffer->Tid = static_cast<uint32_t>(Buffers.size());
-    Buffers.push_back(Buffer);
-    return Buffer;
+  /// Drops every ring. Callers hold M.
+  void reset() {
+    Rings.clear();
+    Free.clear();
+    TraceView = KeepAllArmed;
+    FlightView = BoundedArmed.load(std::memory_order_relaxed);
+    Epoch.fetch_add(1, std::memory_order_release);
   }
 };
 
-Collector &collector() {
-  // Immortal (leaked on purpose): exit-time flush hooks — the
-  // PDT_REPORT writer, crash flushes — may run after this TU's
-  // static destructors would have fired, so the collector must never
-  // be destroyed. Still reachable through the static pointer, so
-  // LeakSanitizer stays quiet.
-  static Collector *C = new Collector;
-  return *C;
+SpanStore &store() {
+  // Immortal (leaked on purpose, still reachable for LeakSanitizer):
+  // exit-time flush hooks — the PDT_REPORT writer, crash flushes — may
+  // run after this TU's static destructors would have fired.
+  static SpanStore *S = new SpanStore;
+  return *S;
 }
 
-ThreadBuffer &threadBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> Buffer =
-      collector().registerThread();
-  return *Buffer;
+/// The calling thread's ring. Destroyed at thread exit, it hands the
+/// ring to the free list; it keeps its own reference, so a span
+/// recorded later in the exiting thread's teardown still lands.
+struct RingRef {
+  std::shared_ptr<SpanRing> Ring;
+  uint64_t Epoch = 0;
+
+  ~RingRef() {
+    if (!Ring)
+      return;
+    SpanStore &S = store();
+    std::lock_guard<std::mutex> Lock(S.M);
+    if (Epoch == S.Epoch.load(std::memory_order_relaxed))
+      S.Free.push_back(Ring);
+  }
+};
+
+thread_local RingRef ThreadRing;
+
+/// Gives \p Ref a ring in the current epoch: a free one under the
+/// bounded policy, a fresh one otherwise. False when the store was
+/// disarmed meanwhile.
+bool attach(SpanStore &S, RingRef &Ref) {
+  std::lock_guard<std::mutex> Lock(S.M);
+  bool Bounded = S.BoundedArmed.load(std::memory_order_relaxed);
+  if (!S.KeepAllArmed && !Bounded)
+    return false;
+  if (!S.KeepAllArmed && !S.Free.empty()) {
+    Ref.Ring = std::move(S.Free.back());
+    S.Free.pop_back();
+  } else {
+    auto Ring = std::make_shared<SpanRing>();
+    Ring->Slots.resize(S.KeepAllArmed ? InitialKeepAllSlots : S.BoundedSlots);
+    Ring->Tid = static_cast<uint32_t>(S.Rings.size());
+    S.Rings.push_back(Ring);
+    Ref.Ring = std::move(Ring);
+  }
+  Ref.Epoch = S.Epoch.load(std::memory_order_relaxed);
+  return true;
+}
+
+/// The trace view (every span) or the flight view (each ring's newest
+/// BoundedSlots), merged and sorted. Holds a ring's mutex only so growth
+/// cannot reallocate under the copy; writers keep running.
+std::vector<TraceEvent> collect(bool Flight) {
+  SpanStore &S = store();
+  std::vector<std::shared_ptr<SpanRing>> Rings;
+  uint64_t Window = ~uint64_t(0);
+  {
+    std::lock_guard<std::mutex> Lock(S.M);
+    if (!(Flight ? S.FlightView : S.TraceView))
+      return {};
+    Window = Flight ? S.BoundedSlots : Window;
+    Rings = S.Rings;
+  }
+  std::vector<TraceEvent> All;
+  for (const std::shared_ptr<SpanRing> &Ring : Rings) {
+    std::lock_guard<std::mutex> Lock(Ring->M);
+    const uint64_t Cap = Ring->Slots.size();
+    uint64_t End = Ring->Count.load(std::memory_order_acquire);
+    uint64_t Begin = End - std::min(End, std::min(Cap, Window));
+    size_t Mark = All.size();
+    for (uint64_t I = Begin; I != End; ++I)
+      All.push_back(Ring->Slots[I % Cap]);
+    // The writer kept running during the copy: any slot whose index it
+    // could have reused — published overwrites up to End2, plus the one
+    // unpublished write of index End2 that may be in flight — must be
+    // discarded, or we could return a torn event. Under keep-all
+    // End2 < Cap, so nothing is discarded.
+    uint64_t End2 = Ring->Count.load(std::memory_order_acquire);
+    uint64_t FirstSafe = End2 >= Cap ? End2 - Cap + 1 : 0;
+    if (FirstSafe > Begin)
+      All.erase(All.begin() + Mark,
+                All.begin() + Mark + (std::min(FirstSafe, End) - Begin));
+  }
+  // Per thread, parents start no later than their children and end no
+  // earlier, so (start ascending, duration descending) lists every
+  // parent before its children.
+  std::sort(All.begin(), All.end(),
+            [](const TraceEvent &A, const TraceEvent &B) {
+              if (A.Tid != B.Tid)
+                return A.Tid < B.Tid;
+              if (A.StartNs != B.StartNs)
+                return A.StartNs < B.StartNs;
+              return A.DurationNs > B.DurationNs;
+            });
+  return All;
 }
 
 /// Escapes a span name for a JSON string literal (names are literals
@@ -164,12 +263,9 @@ int64_t Trace::nowNs() {
       .count();
 }
 
-void Trace::setCaptureBit(CaptureBit Bit, bool On) {
-  if (On)
-    CaptureFlags.fetch_or(Bit, std::memory_order_relaxed);
-  else
-    CaptureFlags.fetch_and(~static_cast<unsigned>(Bit),
-                           std::memory_order_relaxed);
+void Trace::publishMode(bool KeepAllArmed, bool BoundedArmed) {
+  Mode.store(KeepAllArmed ? KeepAll : BoundedArmed ? Bounded : Off,
+             std::memory_order_relaxed);
 }
 
 void Trace::setMaxSpansPerThread(uint32_t Cap) {
@@ -187,57 +283,66 @@ uint64_t Trace::droppedSpans() {
 
 void Trace::record(const char *Name, const char *Category, int16_t Kind,
                    int64_t StartNs, int64_t EndNs) {
-  unsigned Flags = CaptureFlags.load(std::memory_order_relaxed);
-  // Request attribution: one thread-local read per recorded span. The
-  // token travels with the event into both consumers, so flight slots
-  // and full buffers agree on which request a span served.
-  uint32_t Req = RequestContext::current();
-  if (Flags & CaptureFlight)
-    FlightRecorder::record(
-        {Name, Category, 0, Kind, Req, StartNs, EndNs - StartNs});
-  if (!(Flags & CaptureFull))
+  uint8_t M = Mode.load(std::memory_order_relaxed);
+  if (M == Off)
     return;
-  ThreadBuffer &Buffer = threadBuffer();
-  uint32_t N = Buffer.Size.load(std::memory_order_relaxed);
-  if (N >= MaxSpansCap.load(std::memory_order_relaxed)) {
-    // At the cap: the span is dropped, not silently — the count feeds
-    // the run report's "flight" section and the trace.dropped_spans
-    // metric.
-    DroppedSpanCount.fetch_add(1, std::memory_order_relaxed);
-    Metrics::count(Metric::TraceSpanDrops);
+  SpanStore &S = store();
+  RingRef &Ref = ThreadRing;
+  if (Ref.Epoch != S.Epoch.load(std::memory_order_acquire) &&
+      !attach(S, Ref))
     return;
+  SpanRing &Ring = *Ref.Ring;
+  uint64_t N = Ring.Count.load(std::memory_order_relaxed);
+  if (M == KeepAll) {
+    uint32_t Cap = MaxSpansCap.load(std::memory_order_relaxed);
+    if (N >= Cap) {
+      // At the cap: the span is dropped, not silently — the count feeds
+      // the run report's "monitor" section and the trace.dropped_spans
+      // metric.
+      DroppedSpanCount.fetch_add(1, std::memory_order_relaxed);
+      Metrics::count(Metric::TraceSpanDrops);
+      return;
+    }
+    if (N + 1 == Ring.Slots.size()) {
+      // Grow before the last slot is taken, so a keep-all ring never
+      // fills and never wraps (one slot past the cap keeps that true at
+      // the cap). Growth is structural: the mutex keeps snapshots off
+      // the reallocation.
+      size_t Size = Ring.Slots.size();
+      std::lock_guard<std::mutex> Lock(Ring.M);
+      Ring.Slots.resize(
+          std::max(std::min<size_t>(2 * Size, size_t(Cap) + 1), Size + 1));
+    }
   }
-  if (N == Buffer.Events.size()) {
-    // Growth is structural: take the mutex so a concurrent snapshot
-    // never reads across a reallocation.
-    std::lock_guard<std::mutex> Lock(Buffer.M);
-    Buffer.Events.resize(Buffer.Events.size() * 2);
-  }
-  Buffer.Events[N] = {Name, Category, Buffer.Tid,
-                      Kind, Req,      StartNs,    EndNs - StartNs};
-  Buffer.Size.store(N + 1, std::memory_order_release);
+  // RequestContext::current() is the request attribution: one
+  // thread-local read per span, resolved to the ID only at dump time.
+  const size_t Size = Ring.Slots.size();
+  Ring.Slots[N < Size ? N : N % Size] = {
+      Name,    Category, Ring.Tid,       Kind, RequestContext::current(),
+      StartNs, EndNs - StartNs};
+  Ring.Count.store(N + 1, std::memory_order_release);
 }
 
 void Trace::start(std::string Path) {
-  clear();
-  {
-    Collector &C = collector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    C.Path = std::move(Path);
-  }
-  DroppedSpanCount.store(0, std::memory_order_relaxed);
   // Anchor the clock before the first span can observe it.
   nowNs();
-  setCaptureBit(CaptureFull, true);
+  SpanStore &S = store();
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.KeepAllArmed = true;
+  S.reset();
+  S.TracePath = std::move(Path);
+  DroppedSpanCount.store(0, std::memory_order_relaxed);
+  publishMode(true, S.BoundedArmed.load(std::memory_order_relaxed));
 }
 
 bool Trace::stop() {
-  setCaptureBit(CaptureFull, false);
+  SpanStore &S = store();
   std::string Path;
   {
-    Collector &C = collector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    Path = C.Path;
+    std::lock_guard<std::mutex> Lock(S.M);
+    S.KeepAllArmed = false;
+    publishMode(false, S.BoundedArmed.load(std::memory_order_relaxed));
+    Path = S.TracePath;
   }
   if (Path.empty())
     return true;
@@ -245,38 +350,68 @@ bool Trace::stop() {
 }
 
 void Trace::clear() {
-  // Callers disarm (or never armed) before clearing; an owner thread
-  // racing a clear may republish its in-flight event, which the next
-  // start() clears again.
-  Collector &C = collector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<ThreadBuffer> &Buffer : C.Buffers) {
-    std::lock_guard<std::mutex> BufferLock(Buffer->M);
-    Buffer->Size.store(0, std::memory_order_relaxed);
-  }
+  SpanStore &S = store();
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.reset();
 }
 
-std::vector<TraceEvent> Trace::snapshot() {
-  std::vector<TraceEvent> All;
-  Collector &C = collector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<ThreadBuffer> &Buffer : C.Buffers) {
-    std::lock_guard<std::mutex> BufferLock(Buffer->M);
-    uint32_t N = Buffer->Size.load(std::memory_order_acquire);
-    All.insert(All.end(), Buffer->Events.begin(), Buffer->Events.begin() + N);
+std::vector<TraceEvent> Trace::snapshot() { return collect(/*Flight=*/false); }
+
+bool FlightRecorder::enabled() {
+  return store().BoundedArmed.load(std::memory_order_relaxed);
+}
+
+void FlightRecorder::start(size_t BytesPerThread, std::string DumpPath) {
+  // Anchor the span clock before the first ring write can observe it.
+  Trace::nowNs();
+  SpanStore &S = store();
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.BoundedSlots = std::max(BytesPerThread / sizeof(TraceEvent),
+                            MinBoundedSlots);
+  if (!DumpPath.empty())
+    S.DumpPath = std::move(DumpPath);
+  S.BoundedArmed.store(true, std::memory_order_relaxed);
+  // A running full trace owns the store: the flight view is its tail.
+  if (S.KeepAllArmed)
+    S.FlightView = true;
+  else
+    S.reset();
+  Trace::publishMode(S.KeepAllArmed, true);
+}
+
+void FlightRecorder::stop() {
+  SpanStore &S = store();
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.BoundedArmed.store(false, std::memory_order_relaxed);
+  Trace::publishMode(S.KeepAllArmed, false);
+}
+
+std::vector<TraceEvent> FlightRecorder::snapshot() {
+  return collect(/*Flight=*/true);
+}
+
+FlightRecorder::Stats FlightRecorder::stats() {
+  SpanStore &S = store();
+  Stats Out;
+  std::lock_guard<std::mutex> Lock(S.M);
+  Out.SlotsPerThread = static_cast<uint32_t>(S.BoundedSlots);
+  if (!S.FlightView)
+    return Out;
+  Out.Threads = static_cast<uint32_t>(S.Rings.size());
+  for (const std::shared_ptr<SpanRing> &Ring : S.Rings) {
+    std::lock_guard<std::mutex> RingLock(Ring->M);
+    uint64_t Count = Ring->Count.load(std::memory_order_relaxed);
+    Out.Recorded += Count;
+    Out.Overwritten += Count > S.BoundedSlots ? Count - S.BoundedSlots : 0;
+    Out.BytesInUse += Ring->Slots.size() * sizeof(TraceEvent);
   }
-  // Per thread, parents start no later than their children and end no
-  // earlier, so (start ascending, duration descending) lists every
-  // parent before its children.
-  std::sort(All.begin(), All.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.Tid != B.Tid)
-                return A.Tid < B.Tid;
-              if (A.StartNs != B.StartNs)
-                return A.StartNs < B.StartNs;
-              return A.DurationNs > B.DurationNs;
-            });
-  return All;
+  return Out;
+}
+
+std::string FlightRecorder::dumpPath() {
+  SpanStore &S = store();
+  std::lock_guard<std::mutex> Lock(S.M);
+  return S.DumpPath;
 }
 
 std::string Trace::toJson(const std::vector<TraceEvent> &Events) {

@@ -19,7 +19,7 @@
 ///   * disarmed (the default): one relaxed atomic load and a
 ///     predictable not-taken branch per span;
 ///   * armed: two steady_clock reads and one uncontended thread-local
-///     buffer append per span (< 5% on the x3 workload, enforced by
+///     ring append per span (< 5% on the x3 workload, enforced by
 ///     bench_x5_observability).
 ///
 /// Arming is programmatic (Trace::start / Trace::stop, used by the
@@ -27,12 +27,13 @@
 /// writes the trace at process exit. Span names must be string
 /// literals (they are stored, not copied).
 ///
-/// Spans have two consumers behind one capture gate: the full
-/// per-thread buffers here (every span kept, bounded only by the
-/// PDT_TRACE_MAX_SPANS per-thread cap, drops counted) and the
-/// flight recorder's fixed-size rings (support/FlightRecorder.h,
-/// last-N spans at bounded memory). Either, both, or neither may be
-/// armed; the Span fast path stays a single relaxed load.
+/// Spans have one store, a per-thread ring (Trace.cpp) that the full
+/// trace, the flight recorder (support/FlightRecorder.h), the profiler
+/// and the run report all read. Trace::start arms its keep-all policy:
+/// a ring doubles up to PDT_TRACE_MAX_SPANS, then drops and counts the
+/// newest spans. FlightRecorder::start arms the bounded one. When both
+/// are armed keep-all holds. The Span fast path stays a single relaxed
+/// load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +47,7 @@
 
 namespace pdt {
 
-/// One finished span, as recorded in a thread buffer and exposed to
+/// One finished span, as recorded in a thread's ring and exposed to
 /// tests through Trace::snapshot(). Times are nanoseconds since the
 /// trace clock anchor. Kind is a small attribution tag (the core layer
 /// stores its TestKind enumerator there, see support/Profile.h);
@@ -66,47 +67,40 @@ struct TraceEvent {
   int64_t DurationNs = 0;
 };
 
-/// Global trace control. All members are static; the collector behind
-/// them owns one buffer per thread that ever finished a span.
+/// Global trace control. All members are static; the store behind
+/// them owns one ring per recording thread.
 class Trace {
 public:
-  /// Capture-gate bits: which span consumers are armed.
-  enum CaptureBit : unsigned {
-    CaptureFull = 1u << 0,   ///< The full per-thread buffers (PDT_TRACE).
-    CaptureFlight = 1u << 1, ///< The flight-recorder rings (PDT_FLIGHT).
-  };
-
-  /// True when the full trace buffers are recording.
+  /// True when the store keeps every span (the keep-all policy).
   static bool enabled() {
-    return (CaptureFlags.load(std::memory_order_relaxed) & CaptureFull) != 0;
+    return Mode.load(std::memory_order_relaxed) == KeepAll;
   }
 
-  /// True when any span consumer (full trace or flight recorder) is
-  /// armed — the Span constructor's single gate.
+  /// True when either policy is armed — the Span constructor's single
+  /// gate.
   static bool capturing() {
-    return CaptureFlags.load(std::memory_order_relaxed) != 0;
+    return Mode.load(std::memory_order_relaxed) != Off;
   }
 
-  /// Arms or disarms one capture consumer. Used by the flight
-  /// recorder; start()/stop() manage the CaptureFull bit.
-  static void setCaptureBit(CaptureBit Bit, bool On);
-
-  /// Starts recording; \p Path (may be empty) is where stop() and the
-  /// process-exit hook write the JSON. Clears previously buffered
-  /// events.
+  /// Arms the keep-all policy; \p Path (may be empty) is where stop()
+  /// and the process-exit hook write the JSON. Clears the store,
+  /// flight window included.
   static void start(std::string Path);
 
-  /// Stops recording and writes the JSON to the path given to start()
+  /// Disarms keep-all and writes the JSON to the path given to start()
   /// (skipped when that path is empty). Returns false when the file
-  /// could not be written.
+  /// could not be written. The spans stay readable until the next
+  /// start() or clear(); if the flight recorder is still armed its
+  /// bounded policy keeps recording over them.
   static bool stop();
 
   /// Drops every buffered event without writing.
   static void clear();
 
-  /// All buffered events, merged across threads and sorted by
-  /// (thread, start time, longest-first). Exposed for the nesting and
-  /// layer-coverage tests.
+  /// Every span recorded since start(), merged across threads and
+  /// sorted by (thread, start time, longest-first); empty when the
+  /// store holds only flight-recorder spans. Exposed for the nesting
+  /// and layer-coverage tests.
   static std::vector<TraceEvent> snapshot();
 
   /// Renders \p Events as a Chrome trace-event JSON document.
@@ -118,8 +112,8 @@ public:
   /// Nanoseconds since the process-wide trace clock anchor.
   static int64_t nowNs();
 
-  /// Per-thread span cap for the *full* buffers (the flight rings are
-  /// bounded by construction). A thread that reaches the cap drops
+  /// Per-thread span cap under the keep-all policy (the bounded policy
+  /// is capped by construction). A thread that reaches the cap drops
   /// further spans and counts them; 0 restores the built-in default.
   /// Env-tunable via PDT_TRACE_MAX_SPANS.
   static void setMaxSpansPerThread(uint32_t Cap);
@@ -143,9 +137,14 @@ public:
 
 private:
   friend class Span;
+  /// FlightRecorder's start/stop/snapshot/stats are defined next to the
+  /// store in Trace.cpp and arm its bounded policy.
+  friend class FlightRecorder;
+  enum : uint8_t { Off, Bounded, KeepAll };
   static void record(const char *Name, const char *Category, int16_t Kind,
                      int64_t StartNs, int64_t EndNs);
-  static std::atomic<unsigned> CaptureFlags;
+  static void publishMode(bool KeepAllArmed, bool BoundedArmed);
+  static std::atomic<uint8_t> Mode;
 };
 
 /// RAII scope: records one complete event from construction to
