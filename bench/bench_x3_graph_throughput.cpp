@@ -16,7 +16,10 @@
 //   * parallel:  the new pipeline at --threads workers (default 4).
 //
 // The bench hard-asserts that all three produce identical graphs and
-// equal TestStats, then writes BENCH_graph_throughput.json. The full
+// equal TestStats, then writes BENCH_graph_throughput.json and a
+// companion pdt-report-v1 document (BENCH_x3_report.json: the legs'
+// wall times and ns per pair as workload values) that depprof history
+// append turns into a comparable perf-ledger line. The full
 // run times the configurations in interleaved reps and gates on the
 // median per-rep speedup of parallel over seed (>= 2x). Run with
 // --smoke for a sub-second workload (wired as the bench_smoke ctest).
@@ -430,6 +433,35 @@ int main(int argc, char **argv) {
        << "  \"graphs_identical\": true,\n"
        << "  \"stats_identical\": true\n"
        << "}\n";
+
+  // Companion pdt-report-v1 document for the perf ledger (depprof
+  // history append keeps its Time-class keys): the median-rep wall
+  // times and per-pair costs of the three legs as workload values, on
+  // top of one metrics-armed serial build's stats and counters.
+  Metrics::reset();
+  if (!Metrics::enabled())
+    Metrics::enable();
+  TestStats ReportStats;
+  DependenceGraph::build(Prog, Symbols, &ReportStats, false, 1);
+  auto Ns = [](double Secs) { return static_cast<uint64_t>(Secs * 1e9); };
+  RunReport::reset();
+  RunReport::noteTool("bench_x3_graph_throughput");
+  RunReport::noteWorkload("mode", "throughput");
+  RunReport::noteWorkload("config", Smoke ? "smoke" : "full");
+  RunReport::noteWorkload("nests", static_cast<uint64_t>(NumNests));
+  RunReport::noteWorkload("threads", static_cast<uint64_t>(Threads));
+  RunReport::noteWorkload("seed_wall_ns", Ns(Seed.secs()));
+  RunReport::noteWorkload("serial_wall_ns", Ns(Serial.secs()));
+  RunReport::noteWorkload("parallel_wall_ns", Ns(Parallel.secs()));
+  RunReport::noteWorkload("serial_ns_per_pair", Ns(Serial.secs() / Pairs));
+  RunReport::noteWorkload("parallel_ns_per_pair",
+                          Ns(Parallel.secs() / Pairs));
+  RunReport::noteStats(ReportStats);
+  RunReport::noteWallNs(static_cast<int64_t>(Ns(Serial.secs())));
+  if (!RunReport::writeTo(benchOutputPath("BENCH_x3_report.json"))) {
+    std::cerr << "FAIL: cannot write BENCH_x3_report.json\n";
+    return 1;
+  }
 
   if (!Smoke && SpeedupParallel < 2.0) {
     std::cerr << "FAIL: parallel pipeline only " << SpeedupParallel

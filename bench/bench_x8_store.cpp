@@ -13,7 +13,8 @@
 //      hash) and the same result-bearing TestStats.
 //   2. Warm-start — the warm run serves every canonicalizable pair
 //      from the store (zero misses) and is at least 2x faster than
-//      the cold run (activation + analysis, best of two).
+//      the cold run (activation + analysis): the median, over
+//      interleaved reps, of each rep's cold/warm wall-time ratio.
 //   3. Recovery — after the parent corrupts one segment and truncates
 //      another, the next run quarantines the damage, heals, and still
 //      matches the baseline.
@@ -43,6 +44,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -292,31 +294,53 @@ int main(int argc, char **argv) {
   long long BaselineHash =
       static_cast<long long>(fnv1a(Baseline.Graph.str()));
 
-  PhaseMetrics Cold, Warm, Warm2, Recover, SkewM;
-  bool OK = runChild(argv[0], "cold", StoreDir.string(), Nests, Cold) &&
-            runChild(argv[0], "warm", StoreDir.string(), Nests, Warm) &&
-            runChild(argv[0], "warm", StoreDir.string(), Nests, Warm2);
-  if (OK) {
-    // Gate 1: byte-identity.
-    if (Cold["graph_hash"] != BaselineHash)
+  // Interleaved reps: each starts from an empty store, runs one cold
+  // child and then one warm child on what it wrote, and contributes
+  // one cold/warm ratio. The gate reads the median ratio (BenchMeta.h
+  // explains why adjacent pairs and a median beat best-of-N on a
+  // shared box); the reported timings are the fastest of each phase.
+  PhaseMetrics Cold, Warm, Recover, SkewM;
+  std::vector<double> Ratios;
+  bool OK = true;
+  for (unsigned Rep = 0; OK && Rep != (Smoke ? 5u : 9u); ++Rep) {
+    PhaseMetrics RepCold, RepWarm;
+    std::error_code EC;
+    fs::remove_all(StoreDir, EC);
+    OK = runChild(argv[0], "cold", StoreDir.string(), Nests, RepCold) &&
+         runChild(argv[0], "warm", StoreDir.string(), Nests, RepWarm);
+    if (!OK)
+      break;
+    // Gate 1: byte-identity, every rep.
+    if (RepCold["graph_hash"] != BaselineHash)
       fail("cold graph differs from store-less baseline");
-    if (Warm["graph_hash"] != BaselineHash)
+    if (RepWarm["graph_hash"] != BaselineHash)
       fail("warm graph differs from store-less baseline");
-    if (Cold["hits"] != 0)
+    if (RepCold["hits"] != 0)
       fail("cold run reported hits from an empty store");
-    if (Cold["misses"] == 0)
+    if (RepCold["misses"] == 0)
       fail("cold run never probed the store");
-    // Gate 2: warm start.
-    if (Warm["misses"] != 0)
-      fail("warm run missed " + std::to_string(Warm["misses"]) +
+    // Gate 2 (hit rate): the warm run serves everything.
+    if (RepWarm["misses"] != 0)
+      fail("warm run missed " + std::to_string(RepWarm["misses"]) +
            " records (expected a 100% hit rate)");
-    if (Warm["hits"] == 0)
+    if (RepWarm["hits"] == 0)
       fail("warm run served nothing from the store");
-    long long WarmNs = std::min(Warm["wall_ns"], Warm2["wall_ns"]);
-    if (Cold["wall_ns"] < 2 * WarmNs)
-      fail("warm speedup below 2x: cold " +
-           std::to_string(Cold["wall_ns"]) + " ns vs warm " +
-           std::to_string(WarmNs) + " ns");
+    if (RepWarm["wall_ns"] > 0)
+      Ratios.push_back(static_cast<double>(RepCold["wall_ns"]) /
+                       RepWarm["wall_ns"]);
+    if (Cold.empty() || RepCold["wall_ns"] < Cold["wall_ns"])
+      Cold = RepCold;
+    if (Warm.empty() || RepWarm["wall_ns"] < Warm["wall_ns"])
+      Warm = RepWarm;
+  }
+  if (OK) {
+    long long WarmNs = Warm["wall_ns"];
+    // Gate 2 (speed): the median cold/warm ratio.
+    double Speedup = median(Ratios);
+    if (Speedup < 2.0)
+      fail("warm speedup below 2x: median cold/warm ratio " +
+           std::to_string(Speedup) + " over " +
+           std::to_string(Ratios.size()) + " reps");
 
     // Gate 3: recovery after damage.
     damageStore(StoreDir.string());
@@ -337,9 +361,6 @@ int main(int argc, char **argv) {
         fail("options skew quarantined no stale segment");
     }
 
-    double Speedup = WarmNs > 0
-                         ? static_cast<double>(Cold["wall_ns"]) / WarmNs
-                         : 0.0;
     std::printf("x8 store: cold %.2f ms, warm %.2f ms (%.1fx), "
                 "%lld records, recovery open %.2f ms\n",
                 Cold["wall_ns"] / 1e6, WarmNs / 1e6, Speedup,

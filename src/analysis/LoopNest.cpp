@@ -31,6 +31,32 @@ Interval pdt::evaluateLinear(const LinearExpr &E,
   return Result;
 }
 
+LoopBounds pdt::analyzeLoopBounds(const DoLoop *L,
+                                  const std::set<std::string> &OuterIndices) {
+  LoopBounds B;
+  B.Index = L->getIndexName();
+  std::optional<LinearExpr> Lower, Upper, Step;
+  try {
+    Lower = buildLinearExpr(L->getLower(), OuterIndices);
+    Upper = buildLinearExpr(L->getUpper(), OuterIndices);
+    Step = buildLinearExpr(L->getStep(), OuterIndices);
+  } catch (const AnalysisError &) {
+    // Overflow while folding a bound expression: the loop becomes
+    // non-affine (an unbounded variable), which every test already
+    // handles conservatively.
+    Lower.reset();
+  }
+  if (Lower && Upper && Step && Step->isPureConstant() &&
+      Step->getConstant() != 0) {
+    B.Lower = *Lower;
+    B.Upper = *Upper;
+    B.Step = Step->getConstant();
+  } else {
+    B.Affine = false;
+  }
+  return B;
+}
+
 LoopNestContext::LoopNestContext(const std::vector<const DoLoop *> &TheLoops,
                                  SymbolRangeMap Symbols)
     : Symbols(std::move(Symbols)) {
@@ -38,29 +64,8 @@ LoopNestContext::LoopNestContext(const std::vector<const DoLoop *> &TheLoops,
   // set as we walk outside-in.
   std::set<std::string> OuterIndices;
   for (const DoLoop *L : TheLoops) {
-    LoopBounds B;
-    B.Index = L->getIndexName();
-    std::optional<LinearExpr> Lower, Upper, Step;
-    try {
-      Lower = buildLinearExpr(L->getLower(), OuterIndices);
-      Upper = buildLinearExpr(L->getUpper(), OuterIndices);
-      Step = buildLinearExpr(L->getStep(), OuterIndices);
-    } catch (const AnalysisError &) {
-      // Overflow while folding a bound expression: the loop becomes
-      // non-affine (an unbounded variable), which every test already
-      // handles conservatively.
-      Lower.reset();
-    }
-    if (Lower && Upper && Step && Step->isPureConstant() &&
-        Step->getConstant() != 0) {
-      B.Lower = *Lower;
-      B.Upper = *Upper;
-      B.Step = Step->getConstant();
-    } else {
-      B.Affine = false;
-    }
-    OuterIndices.insert(B.Index);
-    Loops.push_back(std::move(B));
+    Loops.push_back(analyzeLoopBounds(L, OuterIndices));
+    OuterIndices.insert(L->getIndexName());
   }
   computeIndexRanges();
 }

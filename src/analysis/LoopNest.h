@@ -21,6 +21,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,13 @@ struct LoopBounds {
   /// the loop's index range is then unknown (conservative).
   bool Affine = true;
 };
+
+/// Analyzes the bounds and step of \p L, whose enclosing loops' indices
+/// are \p OuterIndices (legal in its bounds). A bound or step that is
+/// not affine, a non-constant or zero step, or an overflow while
+/// folding a bound leaves the loop non-affine.
+LoopBounds analyzeLoopBounds(const DoLoop *L,
+                             const std::set<std::string> &OuterIndices);
 
 /// The loop-nest context shared by both references of a pair:
 /// the common loops (outermost first), symbol assumptions, and the

@@ -104,14 +104,12 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
                                   unsigned I, unsigned J,
                                   const DependenceTestResult &R) {
   const ArrayAccess &A = Accesses[I];
-  const ArrayAccess &B = Accesses[J];
   bool SelfPair = I == J;
   std::vector<Dependence> Out;
 
   if (R.isIndependent())
     return Out;
 
-  std::vector<const DoLoop *> Common = commonLoops(A, B);
   for (const DependenceVector &V : R.Vectors) {
     for (const OrientedVector &O : orientVectors(V)) {
       Dependence D;
@@ -128,7 +126,8 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
         continue;
       D.Vector = O.Vector;
       D.CarriedLevel = O.CarriedLevel;
-      D.Carrier = O.CarriedLevel ? Common[*O.CarriedLevel] : nullptr;
+      // The common nest is a prefix of both loop stacks.
+      D.Carrier = O.CarriedLevel ? A.LoopStack[*O.CarriedLevel] : nullptr;
       D.Exact = R.Exact;
       D.Degraded = R.Degraded;
       if (R.Degraded && R.Failure)
@@ -147,16 +146,6 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
     }
   }
   return Out;
-}
-
-/// Tests one access pair against the cached lowered forms and emits
-/// its dependence edges. Pure function of (Accesses, I, J, Cache), so
-/// pairs may run on any worker in any order.
-std::vector<Dependence> testPairEdges(const std::vector<ArrayAccess> &Accesses,
-                                      unsigned I, unsigned J,
-                                      const AccessLoweringCache &Cache,
-                                      TestStats *Stats) {
-  return emitEdges(Accesses, I, J, Cache.testPair(I, J, Stats));
 }
 
 /// The conservative edges for a pair that was never tested (exhausted
@@ -280,14 +269,10 @@ DependenceGraph DependenceGraph::build(const Program &P,
                             /*DeferLowering=*/Workers > 1);
 
   std::vector<std::vector<Dependence>> PerPair(Pairs.size());
-  auto ProcessScalar = [&](size_t PairIdx, TestStats *WS) {
+  auto ProcessScalar = [&](size_t PairIdx, const FlatPair &Pair,
+                           TestStats *WS) {
     BuildBeat.beat();
     auto [I, J] = Pairs[PairIdx];
-    // A failed lowering job leaves its accesses unready; its exception
-    // is already propagating out of the build, so the pair's edges are
-    // never observed.
-    if (!Cache.isLowered(I) || !Cache.isLowered(J))
-      return;
     // Budgets are enforced on the deterministic sorted pair order for
     // MaxPairs (so the degraded tail is identical across thread
     // counts); deadline degradation depends on wall time by nature.
@@ -304,7 +289,8 @@ DependenceGraph DependenceGraph::build(const Program &P,
       return;
     }
     try {
-      PerPair[PairIdx] = testPairEdges(G.Accesses, I, J, Cache, WS);
+      PerPair[PairIdx] =
+          emitEdges(G.Accesses, I, J, Cache.testPair(Pair, WS));
     } catch (const std::exception &E) {
       // Last-resort containment: one poisoned pair (e.g. bad_alloc or
       // an invariant violation escaping the inner boundaries) degrades
@@ -314,6 +300,16 @@ DependenceGraph DependenceGraph::build(const Program &P,
           AnalysisFailure{FailureKind::InternalInvariant, E.what()}, WS,
           /*CountPair=*/false);
     }
+  };
+  // The job-graph schedule's scalar entry: prepares the pair itself.
+  auto ProcessScalarAt = [&](size_t PairIdx, TestStats *WS) {
+    auto [I, J] = Pairs[PairIdx];
+    // A failed lowering job leaves its accesses unready; its exception
+    // is already propagating out of the build, so the pair's edges are
+    // never observed.
+    if (!Cache.isLowered(I) || !Cache.isLowered(J))
+      return;
+    ProcessScalar(PairIdx, Cache.prepareFlat(I, J), WS);
   };
   auto ProcessBatched = [&](const PairBatchPlan &Plan,
                             const PairBatchPlan::PairRecord &Rec,
@@ -341,27 +337,26 @@ DependenceGraph DependenceGraph::build(const Program &P,
   };
 
   if (Workers == 1) {
+    // Each pair is prepared once: the planner and, for the residue,
+    // the scalar tester read the same flat preparation. Residue pairs
+    // are tested as they are met (the memo sees them in ascending
+    // order either way), batched ones after one decide pass.
     TestStats *WS = NewStats();
-    if (Batched) {
-      PairBatchPlan Plan;
-      std::vector<size_t> Residue;
-      for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx) {
-        auto [I, J] = Pairs[PairIdx];
-        if (!Cache.planBatchedPair(I, J, PairIdx, Plan)) {
-          Residue.push_back(PairIdx);
-          if (WS)
-            ++WS->ScalarFallback;
-        }
+    PairBatchPlan Plan;
+    for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx) {
+      auto [I, J] = Pairs[PairIdx];
+      FlatPair Pair = Cache.prepareFlat(I, J);
+      if (Batched) {
+        if (Cache.planBatchedPair(Pair, PairIdx, Plan))
+          continue;
+        if (WS)
+          ++WS->ScalarFallback;
       }
-      decidePairBatch(Plan);
-      for (const PairBatchPlan::PairRecord &Rec : Plan.Pairs)
-        ProcessBatched(Plan, Rec, WS);
-      for (size_t PairIdx : Residue)
-        ProcessScalar(PairIdx, WS);
-    } else {
-      for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx)
-        ProcessScalar(PairIdx, WS);
+      ProcessScalar(PairIdx, Pair, WS);
     }
+    decidePairBatch(Plan);
+    for (const PairBatchPlan::PairRecord &Rec : Plan.Pairs)
+      ProcessBatched(Plan, Rec, WS);
   } else {
     // Pipelined schedule: per array bucket, lowering -> (batched
     // classification + decide) -> batched materialization and scalar
@@ -426,9 +421,9 @@ DependenceGraph DependenceGraph::build(const Program &P,
         for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
           TestStats *StripeWS = NewStats();
           Graph.add(
-              [&ProcessScalar, Residue, StripeWS, Stripe, NumStripes] {
+              [&ProcessScalarAt, Residue, StripeWS, Stripe, NumStripes] {
                 for (size_t K = Stripe; K < Residue->size(); K += NumStripes)
-                  ProcessScalar((*Residue)[K], StripeWS);
+                  ProcessScalarAt((*Residue)[K], StripeWS);
               },
               {Classify});
         }
@@ -436,9 +431,9 @@ DependenceGraph DependenceGraph::build(const Program &P,
         for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
           TestStats *StripeWS = NewStats();
           Graph.add(
-              [&ProcessScalar, &Indices, StripeWS, Stripe, NumStripes] {
+              [&ProcessScalarAt, &Indices, StripeWS, Stripe, NumStripes] {
                 for (size_t K = Stripe; K < Indices.size(); K += NumStripes)
-                  ProcessScalar(Indices[K], StripeWS);
+                  ProcessScalarAt(Indices[K], StripeWS);
               },
               {Lower});
         }
@@ -450,6 +445,10 @@ DependenceGraph DependenceGraph::build(const Program &P,
   if (Stats)
     for (const TestStats &WS : JobStats)
       Stats->merge(WS);
+  size_t NumEdges = 0;
+  for (const std::vector<Dependence> &Edges : PerPair)
+    NumEdges += Edges.size();
+  G.Edges.reserve(NumEdges);
   for (std::vector<Dependence> &Edges : PerPair)
     for (Dependence &D : Edges)
       G.Edges.push_back(std::move(D));

@@ -8,10 +8,10 @@
 #include "core/PairBatch.h"
 
 #include "core/AccessLoweringCache.h"
-#include "core/Subscript.h"
 #include "support/Env.h"
-#include "support/Failure.h"
+#include "support/MathExtras.h"
 
+#include <algorithm>
 #include <climits>
 
 using namespace pdt;
@@ -42,17 +42,23 @@ void pdt::setBatchModeOverride(std::optional<BatchMode> Mode) {
   overrideSlot() = Mode;
 }
 
-bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
+bool AccessLoweringCache::planBatchedPair(const FlatPair &Pair,
                                           size_t PairIdx,
                                           PairBatchPlan &Plan) const {
-  const ArrayAccess &A = Accesses[I];
-  const ArrayAccess &B = Accesses[J];
-  // Mismatched dimensionality and partially-lowered accesses (a
-  // lowering job failed; its exception is already in flight) take the
-  // scalar path, which handles both conservatively.
-  if (A.Ref->getNumDims() != B.Ref->getNumDims())
+  // Mismatched dimensionality and nonlinear dimensions take the scalar
+  // path, which handles both conservatively.
+  if (Pair.DimMismatch || Pair.hasNonlinear())
     return false;
-  if (!isLowered(I) || !isLowered(J))
+  unsigned Depth = Pair.Depth;
+  // The coupled-level bitmask below holds 64 levels; deeper nests
+  // are fantasy input, handled scalar.
+  if (Depth > 64)
+    return false;
+  // A provably-empty nest short-circuits to EmptyNest independence
+  // before any per-subscript test fires; only the scalar path
+  // replays that exactly.
+  const NestPrefix &Nest = Prefixes[Pair.Prefix];
+  if (Nest.AnyEmpty)
     return false;
 
   size_t EntriesMark = Plan.Coeff.size();
@@ -66,98 +72,92 @@ bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
     return false;
   };
 
-  // Lowering and equation building can raise AnalysisError (coefficient
-  // overflow while retagging or differencing); the scalar path degrades
-  // such pairs, so they must not be batched.
-  try {
-    LoopNestContext Storage;
-    LoweredPair Pair = lowerPair(I, J, Storage);
-    if (Pair.DimMismatch || Pair.HasNonlinear)
-      return false;
-
-    const LoopNestContext &Ctx = *Pair.Ctx;
-    unsigned Depth = Ctx.depth();
-    // The coupled-level bitmask below holds 64 levels; deeper nests
-    // are fantasy input, handled scalar.
-    if (Depth > 64)
-      return false;
-    // A provably-empty nest short-circuits to EmptyNest independence
-    // before any per-subscript test fires; only the scalar path
-    // replays that exactly.
-    for (const LoopBounds &L : Ctx.loops())
-      if (Ctx.indexRange(L.Index).isEmpty())
-        return false;
-
-    uint64_t UsedLevels = 0;
-    for (const SubscriptPair &S : Pair.Subscripts) {
-      LinearExpr Eq = S.equation();
-      // Symbolic additive parts route to the SymbolicZIV/SymbolicSIV
-      // range machinery; C == INT64_MIN risks UB in the kernel's
-      // division and negation (the scalar test raises Overflow or
-      // handles it with explicit care).
-      if (!Eq.symbolTerms().empty())
+  // Each dimension's tagged equation Src(i) - Dst(i') is read off the
+  // flat forms with the checks the scalar dispatcher would trip on:
+  // negating Dst overflows at INT64_MIN, symbol and constant
+  // differences may overflow. Any of them routes the pair scalar,
+  // where it raises and degrades exactly as before.
+  const LoweredAccess &LA = Lowered[Pair.I];
+  const LoweredAccess &LB = Lowered[Pair.J];
+  uint64_t UsedLevels = 0;
+  for (unsigned Dim = 0, E = LA.Dims.size(); Dim != E; ++Dim) {
+    const FlatDim &Src = LA.Dims[Dim];
+    const FlatDim &Dst = LB.Dims[Dim];
+    // A retagged non-common index is a #src/#snk symbol, which never
+    // cancels: symbolic, for the SymbolicZIV/SymbolicSIV machinery.
+    if (Src.Levels > Depth || Dst.Levels > Depth)
+      return Rollback();
+    if (Dst.Const == INT64_MIN)
+      return Rollback();
+    // Symbol terms must cancel exactly (Dst's INT64_MIN cannot be
+    // negated; equal coefficients are then never INT64_MIN either).
+    if (Src.SymEnd - Src.SymBegin != Dst.SymEnd - Dst.SymBegin ||
+        !std::equal(LA.Syms.begin() + Src.SymBegin,
+                    LA.Syms.begin() + Src.SymEnd,
+                    LB.Syms.begin() + Dst.SymBegin))
+      return Rollback();
+    for (uint32_t K = Dst.SymBegin; K != Dst.SymEnd; ++K)
+      if (LB.Syms[K].second == INT64_MIN)
         return Rollback();
-      int64_t C = Eq.getConstant();
-      if (C == INT64_MIN)
-        return Rollback();
+    // C == INT64_MIN risks UB in the kernel's division and negation.
+    std::optional<int64_t> C = checkedAdd(Src.Const, -Dst.Const);
+    if (!C || *C == INT64_MIN)
+      return Rollback();
 
-      const auto &IndexTerms = Eq.indexTerms();
-      if (IndexTerms.empty()) {
-        // ZIV: independent iff C != 0, encoded for the shared kernel
-        // as {a=1, Span=0}: C % 1 == 0 always, |C/1| > 0 iff C != 0.
-        Plan.Coeff.push_back(1);
-        Plan.Const.push_back(C);
-        Plan.Span.push_back(0);
-        Plan.Level.push_back(0);
-        Plan.IsSIV.push_back(0);
-        Plan.ExactEntry.push_back(1);
-        continue;
+    const int64_t *SrcCoeffs = LA.coeffs(Dim);
+    const int64_t *DstCoeffs = LB.coeffs(Dim);
+    unsigned SrcTerms = 0, DstTerms = 0, SrcLevel = 0, DstLevel = 0;
+    for (unsigned Level = 0; Level != Src.Levels; ++Level)
+      if (SrcCoeffs[Level]) {
+        ++SrcTerms;
+        SrcLevel = Level;
       }
-      if (IndexTerms.size() != 2)
-        return Rollback(); // Weak-zero SIV (1 term) or MIV.
-      auto It = IndexTerms.begin();
-      const std::string &VarA = It->first;
-      int64_t CoeffA = It->second;
-      ++It;
-      const std::string &VarB = It->first;
-      int64_t CoeffB = It->second;
-      // Strong SIV is <a*i + c1, a*i' + c2>: the equation must pair an
-      // untagged index with its own sink-tagged twin ("i" sorts before
-      // "i'", so VarA is the untagged one), with exactly opposite
-      // coefficients. -CoeffB at INT64_MIN would overflow; the scalar
-      // dispatcher raises Overflow for it.
-      if (isSinkName(VarA) || VarB != sinkName(VarA))
-        return Rollback(); // RDIV or a mixed shape.
-      if (CoeffB == INT64_MIN || CoeffA != -CoeffB)
-        return Rollback(); // Weak/general SIV, or overflow risk.
-      std::optional<unsigned> Level = Ctx.levelOf(VarA);
-      if (!Level)
-        return Rollback();
-      // Two dimensions constraining the same index form a coupled
-      // group, which the Delta test owns.
-      if (UsedLevels & (uint64_t(1) << *Level))
-        return Rollback();
-      UsedLevels |= uint64_t(1) << *Level;
+    for (unsigned Level = 0; Level != Dst.Levels; ++Level)
+      if (DstCoeffs[Level]) {
+        if (DstCoeffs[Level] == INT64_MIN)
+          return Rollback();
+        ++DstTerms;
+        DstLevel = Level;
+      }
 
-      Interval DistRange = Ctx.distanceRange(VarA);
-      if (DistRange.isEmpty())
-        return Rollback(); // Unreachable given the nest check; scalar.
-      Plan.Coeff.push_back(CoeffA);
-      Plan.Const.push_back(C);
-      Plan.Span.push_back(DistRange.upper() ? *DistRange.upper()
-                                            : INT64_MAX);
-      Plan.Level.push_back(*Level);
-      Plan.IsSIV.push_back(1);
-      Plan.ExactEntry.push_back(DistRange.isFinite() ? 1 : 0);
+    if (SrcTerms + DstTerms == 0) {
+      // ZIV: independent iff C != 0, encoded for the shared kernel
+      // as {a=1, Span=0}: C % 1 == 0 always, |C/1| > 0 iff C != 0.
+      Plan.Coeff.push_back(1);
+      Plan.Const.push_back(*C);
+      Plan.Span.push_back(0);
+      Plan.Level.push_back(0);
+      Plan.IsSIV.push_back(0);
+      Plan.ExactEntry.push_back(1);
+      continue;
     }
+    // Strong SIV is <a*i + c1, a*i' + c2>: one index, the same on both
+    // sides, with equal coefficients. Anything else is weak-zero SIV
+    // (one term), RDIV, MIV or weak/general SIV.
+    if (SrcTerms != 1 || DstTerms != 1 || SrcLevel != DstLevel ||
+        SrcCoeffs[SrcLevel] != DstCoeffs[DstLevel])
+      return Rollback();
+    unsigned Level = SrcLevel;
+    // Two dimensions constraining the same index form a coupled
+    // group, which the Delta test owns.
+    if (UsedLevels & (uint64_t(1) << Level))
+      return Rollback();
+    UsedLevels |= uint64_t(1) << Level;
 
-    Plan.Pairs.push_back({PairIdx, I, J,
-                          static_cast<uint32_t>(EntriesMark),
-                          static_cast<uint32_t>(Plan.Coeff.size() -
-                                                EntriesMark),
-                          Depth});
-    return true;
-  } catch (const AnalysisError &) {
-    return Rollback();
+    const Interval &DistRange = Nest.Distance[Level];
+    if (DistRange.isEmpty())
+      return Rollback(); // Unreachable given the nest check; scalar.
+    Plan.Coeff.push_back(SrcCoeffs[Level]);
+    Plan.Const.push_back(*C);
+    Plan.Span.push_back(DistRange.upper() ? *DistRange.upper() : INT64_MAX);
+    Plan.Level.push_back(Level);
+    Plan.IsSIV.push_back(1);
+    Plan.ExactEntry.push_back(DistRange.isFinite() ? 1 : 0);
   }
+
+  Plan.Pairs.push_back({PairIdx, Pair.I, Pair.J,
+                        static_cast<uint32_t>(EntriesMark),
+                        static_cast<uint32_t>(Plan.Coeff.size() - EntriesMark),
+                        Depth});
+  return true;
 }

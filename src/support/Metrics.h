@@ -101,7 +101,10 @@ constexpr unsigned NumGauges = 2;
 
 /// Latency histograms (nanoseconds, power-of-two buckets).
 enum class Histo : unsigned {
-  PairTestNs,    ///< One access pair through the tester.
+  /// One memo *miss* through testDependence. Memo hits are not
+  /// sampled (a timer costs about as much as a hit), so this is not a
+  /// per-pair latency; lowering.memo.{hits,misses} give the mix.
+  PairTestNs,
   DeltaNs,       ///< One Delta-test run on a coupled group.
   FMNs,          ///< One Fourier-Motzkin feasibility decision.
   FuzzKernelNs,  ///< One generated kernel through all fuzz deciders.
